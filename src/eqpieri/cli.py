@@ -37,9 +37,9 @@ from .polyring import Polynomial
 from .restrict_a import restriction_coefficient, schur_identity_check
 from .schubert import (
     Space,
-    codim,
     enumerate_symbols,
     pieri_bound,
+    special_class,
     special_symbol,
     validate_symbol,
 )
@@ -85,8 +85,8 @@ def _add_choice_flags(parser):
     parser.add_argument("--pivot", type=_symbol_argument, default=None,
                         help="replacement pivot columns (type C)")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads for subset terms "
-                             "(default: EQPIERI_THREADS or 1)")
+                        help="accepted for compatibility: a positive integer "
+                             "that changes nothing (default: EQPIERI_THREADS or 1)")
 
 
 def build_parser() -> _Parser:
@@ -213,20 +213,15 @@ def _cmd_expand(args) -> int:
 def _cmd_restrict(args) -> int:
     space = _space_from(args)
     nu = validate_symbol(space, args.lam)
-    if args.p < 0 or args.p > pieri_bound(space):
-        raise InputError(
-            f"p = {args.p} is outside the special-class range "
-            f"[0, {pieri_bound(space)}]"
-        )
+    sigma = special_class(space, args.p)
     if args.p == 0:
-        nvars = space.ambient if space.lie_type == "A" else space.n
-        value = Polynomial.one(nvars)
+        value = Polynomial.one(space.torus_rank)
     elif space.lie_type == "A":
         value = restriction_coefficient(space, nu, args.p)
     elif space.lie_type == "D" and space.m == space.n:
         value = type_d_restriction(space, nu, args.p)
     else:
-        value = fixed_point_restriction(space, special_symbol(space, args.p)[0], nu)
+        value = fixed_point_restriction(space, sigma, nu)
     if args.json:
         _json_print({"restriction": value.to_json_dict()})
     else:
@@ -238,27 +233,12 @@ def _cmd_oracle(args) -> int:
     space = _space_from(args)
     lam = validate_symbol(space, args.lam)
     mu = validate_symbol(space, args.mu)
-    if args.p < 0 or args.p > pieri_bound(space):
-        raise InputError(
-            f"p = {args.p} is outside the special-class range "
-            f"[0, {pieri_bound(space)}]"
-        )
-    sigma = special_symbol(space, args.p)[0] if args.p else None
-    if args.tilde:
-        if space.lie_type != "D" or args.p != space.n - space.m or args.p < 1:
-            raise InputError(
-                "the second special class exists only on even orthogonal "
-                "spaces at p = n - m"
-            )
-        from .pieri import swap_wall_letters
-
-        sigma = swap_wall_letters(space, sigma)
+    sigma = special_class(space, args.p, args.tilde)
     if args.p == 0:
-        nvars = space.ambient if space.lie_type == "A" else space.n
+        nvars = space.torus_rank
         value = Polynomial.one(nvars) if lam == mu else Polynomial.zero(nvars)
     else:
-        engine = GkmEngine(space)
-        value = engine.product_coefficient(lam, sigma, mu)
+        value = GkmEngine(space).product_coefficient(lam, sigma, mu)
     if args.json:
         _json_print({"coefficient": value.to_json_dict()})
     else:
@@ -347,9 +327,16 @@ _COMMANDS = {
 }
 
 
+# built on the first call and reused: parsing keeps no state in the parser,
+# and building it costs more than many coefficients
+_parser: Optional[_Parser] = None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except InputError as exc:

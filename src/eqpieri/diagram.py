@@ -43,17 +43,15 @@ from .errors import ConsistencyError, InputError
 from .schubert import (
     Space,
     Symbol,
-    codim,
-    leq,
-    pieri_bound,
-    preceq,
+    _codim,
+    _leq,
+    _preceq,
+    special_class,
     validate_symbol,
 )
 
 
-def zero_columns(space: Space, lam, mu) -> frozenset:
-    lam = validate_symbol(space, lam)
-    mu = validate_symbol(space, mu)
+def zero_columns(space: Space, lam: Symbol, mu: Symbol) -> frozenset:
     lam_ext = (0,) + lam
     mu_ext = mu + (space.ambient + 1,)
     out = set()
@@ -62,12 +60,10 @@ def zero_columns(space: Space, lam, mu) -> frozenset:
     return frozenset(out)
 
 
-def cut_columns(space: Space, lam, mu) -> frozenset:
+def cut_columns(space: Space, lam: Symbol, mu: Symbol) -> frozenset:
     """Cuts in [0, N]; only meaningful in the isotropic types."""
     if space.lie_type == "A":
         raise InputError("cuts are defined for isotropic spaces only")
-    lam = validate_symbol(space, lam)
-    mu = validate_symbol(space, mu)
     N = space.ambient
     lam_ext = (0,) + lam
     mu_ext = mu + (N + 1,)
@@ -77,7 +73,7 @@ def cut_columns(space: Space, lam, mu) -> frozenset:
     return frozenset(c for c in range(N + 1) if c in direct or N - c in direct)
 
 
-def q_columns(space: Space, lam, mu) -> Tuple[int, ...]:
+def q_columns(space: Space, lam: Symbol, mu: Symbol) -> Tuple[int, ...]:
     cuts = cut_columns(space, lam, mu)
     n = space.n
     if space.lie_type == "C":
@@ -96,9 +92,7 @@ def q_columns(space: Space, lam, mu) -> Tuple[int, ...]:
     )
 
 
-def l_columns(space: Space, lam, mu) -> frozenset:
-    lam = validate_symbol(space, lam)
-    mu = validate_symbol(space, mu)
+def l_columns(space: Space, lam: Symbol, mu: Symbol) -> frozenset:
     out = set(zero_columns(space, lam, mu))
     if space.lie_type == "A":
         return frozenset(out)
@@ -122,17 +116,19 @@ def l_columns(space: Space, lam, mu) -> frozenset:
 
 def arrow(space: Space, lam, mu) -> bool:
     """Support relation lambda -> mu of the Pieri rule."""
-    lam = validate_symbol(space, lam)
-    mu = validate_symbol(space, mu)
+    return _arrow(space, validate_symbol(space, lam), validate_symbol(space, mu))
+
+
+def _arrow(space: Space, lam: Symbol, mu: Symbol) -> bool:
     t, m, N, n = space.lie_type, space.m, space.ambient, space.n
     if t == "A":
         return all(a <= b for a, b in zip(mu, lam)) and all(
             lam[i] < mu[i + 1] for i in range(m - 1)
         )
     if t == "D":
-        if not preceq(space, mu, lam):
+        if not _preceq(space, mu, lam):
             return False
-    elif not leq(space, mu, lam):
+    elif not _leq(mu, lam):
         return False
     for i in range(m - 1):
         li, mi1 = lam[i], mu[i + 1]
@@ -203,7 +199,7 @@ class PieriDiagram:
         lines = [
             f"{sp.name()} [type {sp.lie_type}]  lambda={list(self.lam)}  "
             f"mu={list(self.mu)}  p={self.p}",
-            f"codim(lambda)={codim(sp, self.lam)}  codim(mu)={codim(sp, self.mu)}"
+            f"codim(lambda)={_codim(sp, self.lam)}  codim(mu)={_codim(sp, self.mu)}"
             f"  p'={self.p_prime}",
             f"arrow: {'yes' if self.has_arrow else 'no'}",
             f"zero columns: {sorted(self.zero_cols)}",
@@ -252,12 +248,11 @@ def build(
     """
     lam = validate_symbol(space, lam)
     mu = validate_symbol(space, mu)
-    if not 0 <= p <= pieri_bound(space):
-        raise InputError(f"p = {p} outside [0, {pieri_bound(space)}] for {space.name()}")
+    special_class(space, p)
     t, m, n, N = space.lie_type, space.m, space.n, space.ambient
-    has_arrow = arrow(space, lam, mu)
+    has_arrow = _arrow(space, lam, mu)
     if t == "A":
-        if not leq(space, mu, lam):
+        if not _leq(mu, lam):
             raise InputError(f"mu = {list(mu)} is not componentwise below lambda = {list(lam)}")
     elif not has_arrow:
         raise InputError(
@@ -270,7 +265,7 @@ def build(
 
     zeros = zero_columns(space, lam, mu)
     L = l_columns(space, lam, mu)
-    p_prime = codim(space, lam) + p - codim(space, mu)
+    p_prime = _codim(space, lam) + p - _codim(space, mu)
 
     if t == "A":
         nu = tuple(c for c in range(1, N + 1) if c not in L)

@@ -35,11 +35,13 @@ from .polyring import Polynomial
 from .schubert import (
     Space,
     Symbol,
-    codim,
+    _codim,
+    _preceq,
     enumerate_symbols,
+    family_twist_images,
     pieri_bound,
-    preceq,
-    special_symbol,
+    special_class,
+    swap_wall_letters,
     type_of,
     validate_symbol,
 )
@@ -150,27 +152,11 @@ def longest_element(lie: str, rank: int) -> Element:
     return tuple(-i for i in range(1, rank)) + (rank,)
 
 
-def bruhat_leq_elements(u: Element, v: Element, lie: str) -> bool:
-    """u <= v via subword reachability along a reduced word of v."""
-    target_len = element_length(u, lie)
-    reachable = {identity_element(len(u)): 0}
-    for i in reduced_word(v, lie):
-        new = dict(reachable)
-        for w, lw in reachable.items():
-            if lw < target_len and right_ascent(w, i, lie):
-                new[apply_simple(w, i, lie)] = lw + 1
-        reachable = new
-        if u in reachable:
-            return True
-    return u in reachable
-
-
 # -- symbols and coset representatives ---------------------------------------
 
 
-def symbol_to_weyl(space: Space, lam) -> Element:
+def symbol_to_weyl(space: Space, lam: Symbol) -> Element:
     """Minimal coset representative attached to a Schubert symbol."""
-    lam = validate_symbol(space, lam)
     t, n, N = space.lie_type, space.n, space.ambient
     if t == "A":
         rest = tuple(c for c in range(1, N + 1) if c not in lam)
@@ -195,14 +181,13 @@ def symbol_to_weyl(space: Space, lam) -> Element:
 def parabolic_indices(space: Space) -> Tuple[int, ...]:
     """Simple reflections generating the stabilizer subgroup."""
     t, m, n = space.lie_type, space.m, space.n
-    rank = space.ambient if t == "A" else n
     if t == "D" and m == n:
         excluded = {n}
     elif t == "D" and m == n - 1:
         excluded = {n - 1, n}
     else:
         excluded = {m}
-    return tuple(i for i in simple_indices(t, rank) if i not in excluded)
+    return tuple(i for i in simple_indices(t, space.torus_rank) if i not in excluded)
 
 
 def minimal_representative(w: Element, p_inds, lie: str) -> Element:
@@ -220,9 +205,8 @@ def minimal_representative(w: Element, p_inds, lie: str) -> Element:
 def weight_of_symbol(space: Space, sym) -> Tuple[int, ...]:
     """Torus weight of the fixed point: sum of the weights of its lines."""
     sym = validate_symbol(space, sym)
-    n = space.n if space.lie_type != "A" else space.ambient
-    N = space.ambient
-    out = [0] * n
+    n, N = space.n, space.ambient
+    out = [0] * space.torus_rank
     for c in sym:
         if space.lie_type == "A" or c <= n:
             out[c - 1] += 1
@@ -235,8 +219,7 @@ def fixed_point_count(space: Space) -> int:
     """Orbit size of the base coordinate plane; independent of symbols."""
     if space.m == 0:
         return 1
-    lie = space.lie_type
-    rank = space.ambient if lie == "A" else space.n
+    lie, rank = space.lie_type, space.torus_rank
     gens = [apply_simple(identity_element(rank), i, lie) for i in simple_indices(lie, rank)]
     base = frozenset(range(1, space.m + 1))
     seen = {base}
@@ -285,8 +268,9 @@ def fixed_point_restriction(space: Space, mu, nu) -> Polynomial:
     A pruned subword sum: only partial products of length at most
     length(w_mu) are carried.
     """
-    lie = space.lie_type
-    nvars = space.ambient if lie == "A" else space.n
+    mu = validate_symbol(space, mu)
+    nu = validate_symbol(space, nu)
+    lie, nvars = space.lie_type, space.torus_rank
     w0 = longest_element(lie, nvars)
     p_inds = parabolic_indices(space)
     w = minimal_representative(compose(w0, symbol_to_weyl(space, mu)), p_inds, lie)
@@ -342,22 +326,15 @@ def type_d_restriction(space: Space, nu, q: int) -> Polynomial:
         return Polynomial.one(nvars)
     if space.m == 0 or q > pieri_bound(space):
         return Polynomial.zero(nvars)
-    s_q = special_symbol(space, q)[0]
+    s_q = special_class(space, q)
     if space.m < n:
         return fixed_point_restriction(space, s_q, nu)
-
-    def swap(sym):
-        flipped = [n + 1 if c == n else n if c == n + 1 else c for c in sym]
-        return tuple(sorted(flipped))
-
     if type_of(space, s_q) != 1:
-        s_q = swap(s_q)
+        s_q = swap_wall_letters(space, s_q)
     if type_of(space, nu) == 1:
         return fixed_point_restriction(space, s_q, nu)
-    raw = fixed_point_restriction(space, s_q, swap(nu))
-    twist = [Polynomial.variable(i, nvars) for i in range(1, nvars)]
-    twist.append(-Polynomial.variable(nvars, nvars))
-    return raw.substitute(twist)
+    raw = fixed_point_restriction(space, s_q, swap_wall_letters(space, nu))
+    return raw.substitute(family_twist_images(n))
 
 
 class GkmEngine:
@@ -366,7 +343,7 @@ class GkmEngine:
     def __init__(self, space: Space):
         self.space = space
         self.lie = space.lie_type
-        self.nvars = space.ambient if self.lie == "A" else space.n
+        self.nvars = space.torus_rank
         self.w0 = longest_element(self.lie, self.nvars)
         self.p_inds = parabolic_indices(space)
         self.symbols = enumerate_symbols(space)
@@ -376,8 +353,7 @@ class GkmEngine:
         self._vectors: Dict[Symbol, Dict[Symbol, Polynomial]] = {}
         self._expansions: Dict[Tuple[Symbol, Symbol], Dict[Symbol, Polynomial]] = {}
 
-    def representative(self, sym) -> Element:
-        sym = validate_symbol(self.space, sym)
+    def representative(self, sym: Symbol) -> Element:
         if sym not in self._reps:
             u = symbol_to_weyl(self.space, sym)
             self._reps[sym] = minimal_representative(
@@ -385,9 +361,8 @@ class GkmEngine:
             )
         return self._reps[sym]
 
-    def _column(self, nu) -> Dict[Element, Polynomial]:
+    def _column(self, nu: Symbol) -> Dict[Element, Polynomial]:
         """Raw subword sums at the fixed point nu, for every class at once."""
-        nu = validate_symbol(self.space, nu)
         if nu not in self._columns:
             v = self.representative(nu)
             dp = {identity_element(self.nvars): Polynomial.one(self.nvars)}
@@ -405,6 +380,10 @@ class GkmEngine:
         return self._columns[nu]
 
     def restriction(self, mu, nu) -> Polynomial:
+        space = self.space
+        return self._restriction(validate_symbol(space, mu), validate_symbol(space, nu))
+
+    def _restriction(self, mu: Symbol, nu: Symbol) -> Polynomial:
         raw = self._column(nu).get(
             self.representative(mu), Polynomial.zero(self.nvars)
         )
@@ -414,7 +393,7 @@ class GkmEngine:
         mu = validate_symbol(self.space, mu)
         if mu not in self._vectors:
             self._vectors[mu] = {
-                nu: self.restriction(mu, nu) for nu in self.symbols
+                nu: self._restriction(mu, nu) for nu in self.symbols
             }
         return self._vectors[mu]
 
@@ -426,13 +405,13 @@ class GkmEngine:
         if key in self._expansions:
             return self._expansions[key]
         space = self.space
-        bound = codim(space, lam) + codim(space, sigma)
+        bound = _codim(space, lam) + _codim(space, sigma)
         candidates = [
             s
             for s in self.symbols
-            if codim(space, s) <= bound
-            and preceq(space, s, lam)
-            and preceq(space, s, sigma)
+            if _codim(space, s) <= bound
+            and _preceq(space, s, lam)
+            and _preceq(space, s, sigma)
         ]
         vec_l = self.restriction_vector(lam)
         vec_s = self.restriction_vector(sigma)
@@ -443,7 +422,7 @@ class GkmEngine:
             if val.is_zero:
                 out[s] = val
                 continue
-            c = val.try_divide(self.restriction(s, s))
+            c = val.try_divide(self._restriction(s, s))
             if c is None:
                 raise ConsistencyError(
                     f"inexact division in the expansion of "
@@ -460,11 +439,6 @@ class GkmEngine:
         mu = validate_symbol(self.space, mu)
         expansion = self.product_expansion(lam, sigma)
         return expansion.get(mu, Polynomial.zero(self.nvars))
-
-    def pieri_coefficient(self, lam, p: int, mu) -> Polynomial:
-        """N^mu_{lam,p} by localization only."""
-        sigma = special_symbol(self.space, p)[0]
-        return self.product_coefficient(lam, sigma, mu)
 
 
 def oracle_structure_constant(space: Space, lam, sigma, mu) -> Polynomial:

@@ -25,20 +25,19 @@ attached to the opposite family of maximal isotropic subspaces.  Its
 coefficients (the "tilde" variant) are obtained by swapping the letters
 n <-> n+1 in lambda and mu and twisting the result by t_n -> -t_n.
 
-The subset terms of the sum branch are independent; they may be evaluated by
-a thread pool (``threads`` argument or the EQPIERI_THREADS environment
-variable) and are always reduced in subset order, so results are
-byte-for-byte identical at any thread count.
+The subset terms of the sum branch are evaluated and reduced in subset order.
+A thread count (``threads`` argument or the EQPIERI_THREADS environment
+variable) is still accepted and must be a positive integer, but it selects
+nothing: every coefficient is computed in the calling thread.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .diagram import PieriDiagram, arrow, build, iter_subsets
+from .diagram import PieriDiagram, _arrow, build, iter_subsets
 from .errors import ConsistencyError, InputError
 from .gkm import type_d_restriction
 from .polyring import Polynomial, PositivityCertificate, RootBasis, root_positivity_certificate
@@ -46,10 +45,11 @@ from .restrict_a import restriction_coefficient
 from .schubert import (
     Space,
     Symbol,
-    codim,
+    _codim,
     enumerate_symbols,
-    pieri_bound,
-    special_symbol,
+    family_twist_images,
+    special_class,
+    swap_wall_letters,
     validate_symbol,
 )
 
@@ -72,20 +72,6 @@ def specialization_images(space: Space) -> List[Polynomial]:
         else:
             images.append(-Polynomial.variable(N + 1 - j, n))
     return images
-
-
-def family_twist_images(n: int) -> List[Polynomial]:
-    """t_n -> -t_n, the torus action of the outer symmetry in type D."""
-    images = [Polynomial.variable(i, n) for i in range(1, n)]
-    images.append(-Polynomial.variable(n, n))
-    return images
-
-
-def swap_wall_letters(space: Space, sym: Sequence[int]) -> Symbol:
-    """Exchange the letters n and n+1 of a type D symbol."""
-    n = space.n
-    flipped = [n + 1 if c == n else n if c == n + 1 else c for c in sym]
-    return tuple(sorted(flipped))
 
 
 @dataclass(frozen=True)
@@ -116,14 +102,16 @@ class PieriComputation:
     value: Polynomial
 
 
-def _thread_count(threads: Optional[int]) -> int:
-    if threads is not None:
+def _check_threads(threads) -> None:
+    """A thread count must be a positive integer; it selects nothing."""
+    if threads is None:
+        threads = os.environ.get("EQPIERI_THREADS", "1") or "1"
+    try:
         count = int(threads)
-    else:
-        count = int(os.environ.get("EQPIERI_THREADS", "1") or "1")
+    except (TypeError, ValueError):
+        count = 0
     if count < 1:
-        raise InputError("the thread count must be at least 1")
-    return count
+        raise InputError(f"the thread count must be a positive integer, got {threads!r}")
 
 
 def compute_pieri(
@@ -141,17 +129,10 @@ def compute_pieri(
     lam = validate_symbol(space, lam)
     mu = validate_symbol(space, mu)
     p = int(p)
-    nvars = space.ambient if space.lie_type == "A" else space.n
-    if p < 0 or p > pieri_bound(space):
-        raise InputError(
-            f"p = {p} is outside the special-class range [0, {pieri_bound(space)}]"
-        )
+    special_class(space, p, tilde)
+    _check_threads(threads)
+    nvars = space.torus_rank
     if tilde:
-        if space.lie_type != "D" or p != space.n - space.m or p < 1:
-            raise InputError(
-                "the second special class exists only on even orthogonal "
-                "spaces at p = n - m"
-            )
         inner = compute_pieri(
             space,
             swap_wall_letters(space, lam),
@@ -168,7 +149,7 @@ def compute_pieri(
     if p == 0:
         value = Polynomial.one(nvars) if lam == mu else Polynomial.zero(nvars)
         return PieriComputation(space, lam, mu, p, False, None, [], value)
-    if not arrow(space, lam, mu) or codim(space, mu) > codim(space, lam) + p:
+    if not _arrow(space, lam, mu) or _codim(space, mu) > _codim(space, lam) + p:
         return PieriComputation(
             space, lam, mu, p, False, None, [], Polynomial.zero(nvars)
         )
@@ -180,22 +161,14 @@ def compute_pieri(
         return PieriComputation(space, lam, mu, p, False, d, terms, inner_value)
     if d.branch == "sum":
         images = specialization_images(space)
-        subsets = list(iter_subsets(d.sum_set))
         inner_space = Space("A", d.m_prime, N)
-
-        def one_term(I):
-            return restriction_coefficient(inner_space, d.nu_I(I), d.p_prime)
-
-        count = _thread_count(threads)
-        if count > 1 and len(subsets) > 1:
-            with ThreadPoolExecutor(max_workers=count) as pool:
-                inner_values = list(pool.map(one_term, subsets))
-        else:
-            inner_values = [one_term(I) for I in subsets]
-        terms = [PieriTerm(I, v) for I, v in zip(subsets, inner_values)]
+        terms = [
+            PieriTerm(I, restriction_coefficient(inner_space, d.nu_I(I), d.p_prime))
+            for I in iter_subsets(d.sum_set)
+        ]
         value = Polynomial.zero(space.n)
-        for v in inner_values:
-            value = value + v.substitute(images)
+        for term in terms:
+            value = value + term.unspecialized.substitute(images)
         return PieriComputation(space, lam, mu, p, False, d, terms, value)
     if d.branch == "halving":
         inner_space = Space("A", d.m_prime + 1, N)
@@ -257,5 +230,4 @@ def pieri_expansion(
 
 def positivity_certificate(space: Space, value: Polynomial) -> PositivityCertificate:
     """Certify Graham positivity of a coefficient for this space's root data."""
-    rank = space.ambient if space.lie_type == "A" else space.n
-    return root_positivity_certificate(value, RootBasis(space.lie_type, rank))
+    return root_positivity_certificate(value, RootBasis(space.lie_type, space.torus_rank))

@@ -59,12 +59,22 @@ class Polynomial:
     # -- constructors -----------------------------------------------------
 
     @classmethod
+    def _of(cls, nvars: int, terms: dict) -> "Polynomial":
+        """Wrap a term dict built here: nonzero ints on valid exponent tuples."""
+        out = cls.__new__(cls)
+        out.nvars = nvars
+        out.terms = terms
+        return out
+
+    @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
-        return cls(nvars, {})
+        return cls.constant(0, nvars)
 
     @classmethod
     def constant(cls, value: int, nvars: int) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: value})
+        if nvars < 0:
+            raise InputError("nvars must be nonnegative")
+        return cls._of(nvars, {(0,) * nvars: value} if value else {})
 
     @classmethod
     def one(cls, nvars: int) -> "Polynomial":
@@ -76,7 +86,7 @@ class Polynomial:
         if not 1 <= index <= nvars:
             raise InputError(f"variable index {index} out of range 1..{nvars}")
         exp = tuple(1 if i == index - 1 else 0 for i in range(nvars))
-        return cls(nvars, {exp: 1})
+        return cls._of(nvars, {exp: 1})
 
     @classmethod
     def linear(cls, coeffs: Sequence[int]) -> "Polynomial":
@@ -87,7 +97,7 @@ class Polynomial:
             if c:
                 exp = tuple(1 if j == i else 0 for j in range(nvars))
                 terms[exp] = c
-        return cls(nvars, terms)
+        return cls._of(nvars, terms)
 
     # -- basic structure ---------------------------------------------------
 
@@ -147,18 +157,12 @@ class Polynomial:
                 terms[exp] = new
             else:
                 terms.pop(exp, None)
-        out = Polynomial.__new__(Polynomial)
-        out.nvars = self.nvars
-        out.terms = terms
-        return out
+        return Polynomial._of(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Polynomial.__new__(Polynomial)
-        out.nvars = self.nvars
-        out.terms = {exp: -c for exp, c in self.terms.items()}
-        return out
+        return Polynomial._of(self.nvars, {exp: -c for exp, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -174,10 +178,7 @@ class Polynomial:
         if isinstance(other, int):
             if other == 0:
                 return Polynomial.zero(self.nvars)
-            out = Polynomial.__new__(Polynomial)
-            out.nvars = self.nvars
-            out.terms = {exp: c * other for exp, c in self.terms.items()}
-            return out
+            return Polynomial._of(self.nvars, {exp: c * other for exp, c in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_ring(other)
@@ -190,10 +191,7 @@ class Polynomial:
                     terms[exp] = new
                 else:
                     del terms[exp]
-        out = Polynomial.__new__(Polynomial)
-        out.nvars = self.nvars
-        out.terms = terms
-        return out
+        return Polynomial._of(self.nvars, terms)
 
     __rmul__ = __mul__
 

@@ -23,10 +23,6 @@ form, used as an independent cross-check, is
 and both come from evaluating a partial-fraction identity proved by
 schur_identity_check below, which callers can replay at random integer
 points with exact rational arithmetic.
-
-When N = 2n, the factor (t_{n+1} - t_n) can only ever occur when r = 1,
-a = (n,), b_1 = n+1; has_middle_difference tests for it so that callers
-specializing onto an even orthogonal torus can refuse such instances.
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ from typing import Sequence, Tuple
 
 from .errors import InputError
 from .polyring import Polynomial
-from .schubert import Space, validate_symbol
+from .schubert import Space, Symbol, validate_symbol
 
 
 @dataclass(frozen=True)
@@ -59,10 +55,9 @@ class RestrictionInstance:
         return len(self.a)
 
 
-def restriction_instance(space: Space, nu, p: int) -> RestrictionInstance:
+def restriction_instance(space: Space, nu: Symbol, p: int) -> RestrictionInstance:
     if space.lie_type != "A":
         raise InputError("restriction instances live on type A spaces")
-    nu = validate_symbol(space, nu)
     if p < 1:
         raise InputError("restriction instances need p >= 1")
     N, m = space.n, space.m
@@ -96,25 +91,6 @@ def instance_value(inst: RestrictionInstance) -> Polynomial:
             term = term * (Polynomial.variable(bi, N) - Polynomial.variable(ai, N))
         total = total + term
     return total
-
-
-def has_middle_difference(inst: RestrictionInstance) -> bool:
-    """Whether any factor is t_{n+1} - t_n for N = 2n."""
-    if inst.N % 2:
-        return False
-    n = inst.N // 2
-    for factors in subword_terms(inst):
-        if (n + 1, n) in factors:
-            return True
-    return False
-
-
-def middle_difference_possible(inst: RestrictionInstance) -> bool:
-    """Closed form of has_middle_difference: r = 1, a = (n,), b_1 = n + 1."""
-    if inst.N % 2 or inst.p < 1:
-        return False
-    n = inst.N // 2
-    return inst.r == 1 and inst.a == (n,) and bool(inst.b) and inst.b[0] == n + 1
 
 
 def restriction_coefficient(space: Space, nu, p: int) -> Polynomial:

@@ -19,15 +19,21 @@ planes has two connected components; symbols are taken at face value and
 enumerate both, with type_of() separating them (type 1 vs type 2).  The
 partial order preceq() refines the componentwise order leq() by a type
 condition and agrees with leq() in types A, B, C.
+
+Symbols are checked once, where they enter the package: codim(), leq() and
+preceq() validate and call private cores, which trust symbols the package
+built or checked.  special_class() holds the contract on the degree p and
+on the second special class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import InputError
+from .polyring import Polynomial
 
 Symbol = Tuple[int, ...]
 
@@ -60,6 +66,11 @@ class Space:
         if self.lie_type == "B":
             return 2 * self.n + 1
         return 2 * self.n
+
+    @property
+    def torus_rank(self) -> int:
+        """Number of torus weights t_i: N in type A, n otherwise."""
+        return self.ambient if self.lie_type == "A" else self.n
 
     @property
     def dimension(self) -> int:
@@ -109,7 +120,10 @@ def validate_symbol(space: Space, lam: Sequence[int]) -> Symbol:
 
 def codim(space: Space, lam: Sequence[int]) -> int:
     """Codimension of the Schubert variety indexed by lam."""
-    lam = validate_symbol(space, lam)
+    return _codim(space, validate_symbol(space, lam))
+
+
+def _codim(space: Space, lam: Symbol) -> int:
     N = space.ambient
     total = 0
     for j in range(1, len(lam) + 1):
@@ -126,8 +140,10 @@ def codim(space: Space, lam: Sequence[int]) -> int:
 
 def leq(space: Space, mu: Sequence[int], lam: Sequence[int]) -> bool:
     """Componentwise comparison mu_j <= lam_j (containment of varieties)."""
-    mu = validate_symbol(space, mu)
-    lam = validate_symbol(space, lam)
+    return _leq(validate_symbol(space, mu), validate_symbol(space, lam))
+
+
+def _leq(mu: Symbol, lam: Symbol) -> bool:
     return all(a <= b for a, b in zip(mu, lam))
 
 
@@ -137,7 +153,7 @@ def closure(space: Space, lam: Sequence[int]) -> frozenset:
     return frozenset(lam) | frozenset(N + 1 - x for x in lam)
 
 
-def type_of(space: Space, lam: Sequence[int]) -> int:
+def type_of(space: Space, lam: Symbol) -> int:
     """Type of a symbol in an even orthogonal space: 0, 1, or 2.
 
     Type 0 means the symbol is insensitive to the component choice; types 1
@@ -145,7 +161,6 @@ def type_of(space: Space, lam: Sequence[int]) -> int:
     """
     if space.lie_type != "D":
         raise InputError("type classification only applies to even orthogonal spaces")
-    lam = validate_symbol(space, lam)
     n = space.n
     if n not in closure(space, lam):
         return 0
@@ -155,12 +170,14 @@ def type_of(space: Space, lam: Sequence[int]) -> int:
 
 def preceq(space: Space, mu: Sequence[int], lam: Sequence[int]) -> bool:
     """The containment order; refines leq by a type condition in type D."""
-    if not leq(space, mu, lam):
+    return _preceq(space, validate_symbol(space, mu), validate_symbol(space, lam))
+
+
+def _preceq(space: Space, mu: Symbol, lam: Symbol) -> bool:
+    if not _leq(mu, lam):
         return False
     if space.lie_type != "D":
         return True
-    mu = validate_symbol(space, mu)
-    lam = validate_symbol(space, lam)
     n = space.n
     common = closure(space, lam) & closure(space, mu)
     for c in range(1, n):
@@ -182,19 +199,38 @@ def pieri_bound(space: Space) -> int:
     return 2 * space.n - space.m
 
 
-def special_symbol(space: Space, p: int) -> Tuple[Symbol, int]:
-    """The symbol of the codimension-p special class, plus its marker n_p.
+def swap_wall_letters(space: Space, sym: Sequence[int]) -> Symbol:
+    """Exchange the letters n and n+1 of a type D symbol."""
+    n = space.n
+    flipped = [n + 1 if c == n else n if c == n + 1 else c for c in sym]
+    return tuple(sorted(flipped))
 
-    n_p is the smallest entry; the remaining entries sit at the top of
-    [1, N].  p = 0 gives the fundamental class.
+
+def family_twist_images(n: int) -> List[Polynomial]:
+    """t_n -> -t_n, the torus action of the outer symmetry in type D."""
+    images = [Polynomial.variable(i, n) for i in range(1, n)]
+    images.append(-Polynomial.variable(n, n))
+    return images
+
+
+def special_class(space: Space, p: int, tilde: bool = False) -> Symbol:
+    """The symbol of the degree-p special class, checked against the space.
+
+    With tilde, the second special class of an even orthogonal space at
+    p = n - m: the letters n <-> n+1 of the first one swapped.  p = 0 gives
+    the fundamental class.
     """
-    if not 0 <= p <= pieri_bound(space):
+    bound = pieri_bound(space)
+    if not 0 <= p <= bound:
+        raise InputError(f"p = {p} is outside the special-class range [0, {bound}]")
+    if tilde and (space.lie_type != "D" or p != space.n - space.m or p < 1):
         raise InputError(
-            f"p = {p} outside [0, {pieri_bound(space)}] for {space.name()}"
+            "the second special class exists only on even orthogonal "
+            "spaces at p = n - m"
         )
     m, n, N = space.m, space.n, space.ambient
     if m == 0:
-        return (), 0
+        return ()
     if space.lie_type == "A":
         np_ = N + 1 - m - p
     elif space.lie_type == "C":
@@ -208,7 +244,17 @@ def special_symbol(space: Space, p: int) -> Tuple[Symbol, int]:
     else:
         tail = [x for x in range(N + 1 - m, N + 1) if x != N + 1 - np_]
         sym = tuple(sorted([np_] + tail))
-    return validate_symbol(space, sym), np_
+    return swap_wall_letters(space, sym) if tilde else sym
+
+
+def special_symbol(space: Space, p: int) -> Tuple[Symbol, int]:
+    """The symbol of the codimension-p special class, plus its marker n_p.
+
+    n_p is the smallest entry; the remaining entries sit at the top of
+    [1, N].  p = 0 gives the fundamental class.
+    """
+    sym = special_class(space, p)
+    return sym, (sym[0] if sym else 0)
 
 
 def enumerate_symbols(space: Space):
@@ -225,5 +271,5 @@ def enumerate_symbols(space: Space):
             ):
                 continue
         out.append(combo)
-    out.sort(key=lambda s: (codim(space, s), s))
+    out.sort(key=lambda s: (_codim(space, s), s))
     return out

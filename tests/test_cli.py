@@ -7,11 +7,14 @@ consistency failures exit 2.  Results never depend on the thread count.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import eqpieri
 from eqpieri.cli import main
 
 
@@ -32,11 +35,15 @@ def test_pieri_plain_output_is_exactly_the_polynomial(capsys):
 
 
 def test_pieri_console_script_matches_module_entry():
+    # the child imports the same package as this process, installed or not
+    src = str(Path(eqpieri.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     proc = subprocess.run(
         [sys.executable, "-m", "eqpieri.cli", "pieri", "--type", "C",
          "--n", "4", "--m", "3", "--lambda", "2,4,8", "--mu", "1,3,5",
          "--p", "5"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout == "4*t1^2\n"
@@ -201,6 +208,59 @@ def test_output_identical_for_any_thread_count(capsys):
         assert code == 0
         outputs.add(out)
     assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("env_threads, argv_tail", [
+    ("abc", ["--lambda", "2,4,8", "--mu", "1,3,5", "--p", "5"]),
+    (None, ["--lambda", "2,4,8", "--mu", "2,4,8", "--p", "0", "--threads", "0"]),
+])
+def test_invalid_thread_count_exits_one(capsys, monkeypatch, env_threads, argv_tail):
+    if env_threads is not None:
+        monkeypatch.setenv("EQPIERI_THREADS", env_threads)
+    code, out, err = run_cli(
+        capsys, "pieri", "--type", "C", "--n", "4", "--m", "3", *argv_tail,
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("eqpieri: error:") and "thread count" in err
+
+
+# OG(2,8): n = 4, m = 2, special classes in degrees 0..5, the second one at p = 2
+OG28 = ["--type", "D", "--n", "4", "--m", "2", "--lambda", "4,8", "--mu", "3,7"]
+OG27 = ["--type", "B", "--n", "3", "--m", "2", "--lambda", "3,6", "--mu", "1,6"]
+
+
+def command_argv(command, space, *tail):
+    """The space flags and symbols ``command`` takes: expand and restrict take no mu."""
+    symbols = space if command in ("pieri", "oracle", "diagram") else space[:-2]
+    return [*symbols, *tail]
+
+
+RANGE_CASES = [
+    (command, command_argv(command, OG28, "--p", p), 1, "", "special-class range")
+    for command in ("pieri", "expand", "oracle", "restrict", "diagram")
+    for p in ("6", "-1")
+]
+TILDE_CASES = [
+    (command, command_argv(command, space, "--p", p, "--tilde"), 1, "",
+     "second special class")
+    for command in ("pieri", "expand", "oracle")
+    for space, p in ((OG27, "1"), (OG28, "3"))
+]
+DEGREE_ZERO_CASES = [
+    ("oracle", [*OG28[:-1], "4,8", "--p", "0"], 0, "1\n", ""),
+    ("oracle", [*OG28, "--p", "0"], 0, "0\n", ""),
+    ("restrict", [*OG28[:-2], "--p", "0"], 0, "1\n", ""),
+]
+
+
+@pytest.mark.parametrize("command, argv, code, out, message",
+                         RANGE_CASES + TILDE_CASES + DEGREE_ZERO_CASES)
+def test_degree_and_tilde_contract_on_every_command(capsys, command, argv, code, out,
+                                                    message):
+    got_code, got_out, err = run_cli(capsys, command, *argv)
+    assert (got_code, got_out) == (code, out)
+    assert message in err if message else err == ""
 
 
 def test_explicit_chat_and_pivot_flags_change_nothing(capsys):

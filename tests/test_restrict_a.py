@@ -8,9 +8,7 @@ import pytest
 from eqpieri.errors import InputError
 from eqpieri.polyring import Polynomial
 from eqpieri.restrict_a import (
-    has_middle_difference,
     instance_value,
-    middle_difference_possible,
     restriction_coefficient,
     restriction_coefficient_symfn,
     restriction_instance,
@@ -141,19 +139,3 @@ def test_schur_identity_random():
     with pytest.raises(InputError):
         schur_identity_check([1, 1], [2, 3])
 
-
-def test_middle_difference_guard():
-    # exhaustive agreement between the scan and its closed form
-    for N in (4, 6, 8):
-        for m in range(1, N):
-            space = Space("A", m, N)
-            for nu in enumerate_symbols(space):
-                for p in range(1, N - m + 1):
-                    inst = restriction_instance(space, nu, p)
-                    assert has_middle_difference(inst) == middle_difference_possible(
-                        inst
-                    ), (N, m, nu, p)
-    # a concrete occurrence: Gr(1,4), nu = {2}, p = 2
-    inst = restriction_instance(Space("A", 1, 4), (2,), 2)
-    assert inst.a == (2,) and inst.b[0] == 3
-    assert has_middle_difference(inst)

@@ -2,7 +2,12 @@
 
 import pytest
 
+from eqpieri.cli import _COMMANDS, build_parser
+from eqpieri.diagram import arrow, build
 from eqpieri.errors import InputError
+from eqpieri.gkm import GkmEngine, fixed_point_restriction, type_d_restriction
+from eqpieri.pieri import compute_pieri, pieri_coefficient, pieri_expansion
+from eqpieri.restrict_a import restriction_coefficient
 from eqpieri.schubert import (
     Space,
     codim,
@@ -57,6 +62,74 @@ def test_symbol_validation():
         validate_symbol(OG27, [4, 6])  # 4 + 4 = 8 = N + 1
     # n + 1 is fine outside type B
     assert validate_symbol(OG28, [5, 8]) == (5, 8)
+
+
+def run_command(*argv):
+    """One CLI command with InputError left uncaught, as main() would see it."""
+    args = build_parser().parse_args([str(a) for a in argv])
+    return _COMMANDS[args.command](args)
+
+
+def cli_symbol(sym):
+    return ",".join(str(c) for c in sym)
+
+
+GOOD = (3, 7)  # a symbol of OG(2,8)
+GR28 = Space("A", 2, 8)
+OG28_FLAGS = ("--type", "D", "--n", "4", "--m", "2")
+BAD_SYMBOLS = {
+    "outside": (1, 9),
+    "parts": (1, 2, 3),
+    "isotropy": (3, 6),  # 3 + 6 = 9 = N + 1
+}
+ENTRY_POINTS = {
+    "cli pieri": lambda s: run_command("pieri", *OG28_FLAGS, "--lambda", cli_symbol(s),
+                                       "--mu", cli_symbol(GOOD), "--p", 1),
+    "cli expand": lambda s: run_command("expand", *OG28_FLAGS, "--lambda", cli_symbol(s),
+                                        "--p", 1),
+    "cli oracle": lambda s: run_command("oracle", *OG28_FLAGS, "--lambda", cli_symbol(GOOD),
+                                        "--mu", cli_symbol(s), "--p", 1),
+    "cli restrict": lambda s: run_command("restrict", *OG28_FLAGS, "--lambda", cli_symbol(s),
+                                          "--p", 1),
+    "cli diagram": lambda s: run_command("diagram", *OG28_FLAGS, "--lambda", cli_symbol(GOOD),
+                                         "--mu", cli_symbol(s), "--p", 1),
+    "compute_pieri lambda": lambda s: compute_pieri(OG28, s, GOOD, 1),
+    "compute_pieri mu": lambda s: compute_pieri(OG28, GOOD, s, 1),
+    "pieri_coefficient lambda": lambda s: pieri_coefficient(OG28, s, GOOD, 1),
+    "pieri_coefficient mu": lambda s: pieri_coefficient(OG28, GOOD, s, 1),
+    "pieri_expansion": lambda s: pieri_expansion(OG28, s, 1),
+    "build lambda": lambda s: build(OG28, s, GOOD, 1),
+    "build mu": lambda s: build(OG28, GOOD, s, 1),
+    "restriction_coefficient": lambda s: restriction_coefficient(GR28, s, 1),
+    "fixed_point_restriction mu": lambda s: fixed_point_restriction(OG28, s, GOOD),
+    "fixed_point_restriction nu": lambda s: fixed_point_restriction(OG28, GOOD, s),
+    "type_d_restriction": lambda s: type_d_restriction(OG28, s, 1),
+    "GkmEngine.restriction mu": lambda s: GkmEngine(OG28).restriction(s, GOOD),
+    "GkmEngine.restriction nu": lambda s: GkmEngine(OG28).restriction(GOOD, s),
+    "GkmEngine.restriction_vector": lambda s: GkmEngine(OG28).restriction_vector(s),
+    "GkmEngine.product_expansion lambda": lambda s: GkmEngine(OG28).product_expansion(s, GOOD),
+    "GkmEngine.product_expansion sigma": lambda s: GkmEngine(OG28).product_expansion(GOOD, s),
+    "GkmEngine.product_coefficient mu": (
+        lambda s: GkmEngine(OG28).product_coefficient(GOOD, GOOD, s)),
+    "codim": lambda s: codim(OG28, s),
+    "leq mu": lambda s: leq(OG28, s, GOOD),
+    "leq lambda": lambda s: leq(OG28, GOOD, s),
+    "preceq mu": lambda s: preceq(OG28, s, GOOD),
+    "preceq lambda": lambda s: preceq(OG28, GOOD, s),
+    "arrow lambda": lambda s: arrow(OG28, s, GOOD),
+    "arrow mu": lambda s: arrow(OG28, GOOD, s),
+}
+
+
+@pytest.mark.parametrize("entry, fault", [
+    (entry, fault)
+    for entry in ENTRY_POINTS
+    for fault in BAD_SYMBOLS
+    if (entry, fault) != ("restriction_coefficient", "isotropy")  # none in type A
+])
+def test_every_entry_point_rejects_a_bad_symbol(entry, fault):
+    with pytest.raises(InputError, match=fault):
+        ENTRY_POINTS[entry](BAD_SYMBOLS[fault])
 
 
 def test_codim_frozen_values():
