@@ -125,6 +125,8 @@ def right_ascent(w: Element, i: int, lie: str) -> bool:
 def reduced_word(w: Element, lie: str) -> Tuple[int, ...]:
     """Leftmost-descent reduced word; rejects invalid signed permutations."""
     rank = len(w)
+    if sorted(abs(x) for x in w) != list(range(1, rank + 1)):
+        raise ConsistencyError(f"{w} is not a signed permutation of 1..{rank}")
     ident = identity_element(rank)
     word = []
     cur = w
@@ -287,10 +289,11 @@ def fixed_point_restriction(space: Space, mu, nu) -> Polynomial:
             u2 = apply_simple(u, i, lie)
             if lu + 1 == target_len and u2 != w:
                 continue
-            additions[u2] = additions.get(u2, Polynomial.zero(nvars)) + val * beta
+            term = val * beta
+            additions[u2] = additions[u2] + term if u2 in additions else term
             lengths[u2] = lu + 1
         for u2, inc in additions.items():
-            dp[u2] = dp.get(u2, Polynomial.zero(nvars)) + inc
+            dp[u2] = dp[u2] + inc if u2 in dp else inc
     raw = dp.get(w, Polynomial.zero(nvars))
     return raw.substitute(_phi_images(w0, nvars))
 
@@ -371,11 +374,12 @@ class GkmEngine:
                 for u, val in dp.items():
                     if right_ascent(u, i, self.lie):
                         u2 = apply_simple(u, i, self.lie)
-                        additions[u2] = additions.get(
-                            u2, Polynomial.zero(self.nvars)
-                        ) + val * beta
+                        term = val * beta
+                        additions[u2] = (
+                            additions[u2] + term if u2 in additions else term
+                        )
                 for u2, inc in additions.items():
-                    dp[u2] = dp.get(u2, Polynomial.zero(self.nvars)) + inc
+                    dp[u2] = dp[u2] + inc if u2 in dp else inc
             self._columns[nu] = dp
         return self._columns[nu]
 

@@ -31,6 +31,32 @@ def _term_key(exp):
     return (sum(exp), exp)
 
 
+def _accumulate(terms: dict, exp: tuple, coeff: int):
+    """Add coeff to terms[exp], dropping the key when the sum cancels."""
+    new = terms.get(exp, 0) + coeff
+    if new:
+        terms[exp] = new
+    else:
+        del terms[exp]
+
+
+def _signed_variables(images):
+    """Per image, (target index, negated) for +-1 times one variable and
+    None for zero; None for the whole list if some image is neither."""
+    out = []
+    for img in images:
+        if not img.terms:
+            out.append(None)
+            continue
+        if len(img.terms) != 1:
+            return None
+        ((exp, coeff),) = img.terms.items()
+        if coeff not in (1, -1) or sum(exp) != 1:
+            return None
+        out.append((exp.index(1), coeff < 0))
+    return out
+
+
 class Polynomial:
     """Immutable-by-convention sparse polynomial with int coefficients."""
 
@@ -210,7 +236,16 @@ class Polynomial:
     # -- substitution and evaluation ----------------------------------------
 
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
-        """Replace variable i by images[i] (all images in a common ring)."""
+        """Replace variable i by images[i] (all images in a common ring).
+
+        When every image is zero or a single variable with coefficient +1 or
+        -1 (the folding specialization, the type-D twist, the w0 relabelling)
+        each term is remapped directly: its exponents move to the image
+        variables, its sign flips for each negated variable met at an odd
+        exponent, and it vanishes if a zero image meets a positive exponent.
+        Any other images are expanded in general, multiplying each term by
+        cached powers of the images of its variables.
+        """
         if len(images) != self.nvars:
             raise InputError(
                 f"need {self.nvars} images, got {len(images)}"
@@ -221,17 +256,34 @@ class Polynomial:
         for img in images:
             if img.nvars != target:
                 raise InputError("images live in different rings")
+        signed = _signed_variables(images)
+        result = {}
+        if signed is not None:
+            for exp, coeff in self.terms.items():
+                out = [0] * target
+                for e, image in zip(exp, signed):
+                    if e:
+                        if image is None:
+                            break
+                        j, negate = image
+                        out[j] += e
+                        if negate and e & 1:
+                            coeff = -coeff
+                else:
+                    _accumulate(result, tuple(out), coeff)
+            return Polynomial._of(target, result)
         # cache successive powers of each image
         powers = [[Polynomial.one(target)] for _ in range(self.nvars)]
-        result = Polynomial.zero(target)
         for exp, coeff in self.terms.items():
             term = Polynomial.constant(coeff, target)
             for i, e in enumerate(exp):
-                while len(powers[i]) <= e:
-                    powers[i].append(powers[i][-1] * images[i])
-                term = term * powers[i][e]
-            result = result + term
-        return result
+                if e:
+                    while len(powers[i]) <= e:
+                        powers[i].append(powers[i][-1] * images[i])
+                    term = term * powers[i][e]
+            for key, c in term.terms.items():
+                _accumulate(result, key, c)
+        return Polynomial._of(target, result)
 
     def evaluate(self, values: Sequence):
         """Evaluate at a point (ints or Fractions); exact."""
@@ -273,7 +325,8 @@ class Polynomial:
             if any(e < 0 for e in exp):
                 return None
             qc = coeff // dcoeff
-            quotient[exp] = quotient.get(exp, 0) + qc
+            # leading terms strictly decrease, so each exp is met once
+            quotient[exp] = qc
             for dexp, dc in divisor.terms.items():
                 e = tuple(a + b for a, b in zip(exp, dexp))
                 new = rem.get(e, 0) - qc * dc
@@ -281,7 +334,7 @@ class Polynomial:
                     rem[e] = new
                 else:
                     rem.pop(e, None)
-        return Polynomial(self.nvars, quotient)
+        return Polynomial._of(self.nvars, quotient)
 
     def divide_exact(self, divisor: "Polynomial", context: str = "") -> "Polynomial":
         quotient = self.try_divide(divisor)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from eqpieri.errors import InputError
+from eqpieri.errors import ConsistencyError, InputError
 from eqpieri.gkm import (
     GkmEngine,
     apply_simple,
@@ -212,3 +212,12 @@ def test_reduced_words_multiply_back():
         for i in reduced_word(w0, lie):
             w = apply_simple(w, i, lie)
         assert w == w0
+
+
+def test_reduced_word_rejects_a_non_permutation():
+    # representative() trusts its symbol; (3, 6) is not isotropic on OG(2,8)
+    bad = GkmEngine(OG28).representative((3, 6))
+    assert bad == (3, -3, 4, -2, -1)
+    for w, lie in (((1, 1, 2), "B"), (bad, "D")):
+        with pytest.raises(ConsistencyError, match="not a signed permutation"):
+            reduced_word(w, lie)

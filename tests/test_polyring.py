@@ -73,6 +73,51 @@ def test_substitute_commutes_with_evaluation():
         via_sub = p.substitute(images).evaluate(point)
         via_eval = p.evaluate([img.evaluate(point) for img in images])
         assert via_sub == via_eval
+    # signed-variable maps: every image is 0 or +-1 times one variable
+    for _ in range(100):
+        p = random_poly(rng, 4, max_terms=8)
+        images = [rng.choice([1, -1]) * t(rng.randint(1, 2), 2) for _ in range(4)]
+        if rng.random() < 0.5:
+            images[rng.randrange(4)] = Polynomial.zero(2)
+        assert p.substitute(images) == expand_by_products(p, images)
+    n = 3
+    x, y, z = t(1, n), t(2, n), t(3, n)
+    to_xy = [t(1, 2), Polynomial.zero(2), -t(2, 2)]
+    # a zero image at exponent 0 keeps the term, at exponent > 0 drops it
+    assert (x + y * z).substitute(to_xy) == t(1, 2)
+    # negation flips odd exponents only
+    assert (x * z**3 + z**2).substitute(to_xy) == (
+        -(t(1, 2) * t(2, 2) ** 3) + t(2, 2) ** 2
+    )
+    # two sources onto one target with opposite signs cancel
+    fold = [t(1, 1), -t(1, 1)]
+    p = t(1, 2) ** 2 * 3 - t(1, 2) * t(2, 2) * 3 + t(2, 2) ** 2 * 5 + t(2, 2)
+    assert p.substitute(fold) == expand_by_products(p, fold)
+    assert p.substitute(fold).terms == {(2,): 11, (1,): -1}
+    assert (t(1, 2) + t(2, 2)).substitute(fold).is_zero
+    # a scaled variable is not a signed-variable image
+    scaled = [t(1, 2) * 2, Polynomial.zero(2), -t(2, 2)]
+    assert (x**2 * z).substitute(scaled).terms == {(2, 1): -4}
+    constant = Polynomial.constant(7, 0)
+    assert constant.substitute([]) == constant
+    with pytest.raises(InputError):
+        x.substitute(to_xy[:2])
+    with pytest.raises(InputError):
+        x.substitute([t(1, 2), t(1, 3), -t(1, 2)])
+    with pytest.raises(InputError):
+        x.substitute([t(1, 2), t(1, 2) + t(2, 2), t(1, 3)])
+
+
+def expand_by_products(p, images):
+    """Reference substitution built from * and + alone."""
+    result = Polynomial.zero(images[0].nvars)
+    for exp, coeff in p.terms.items():
+        term = Polynomial.constant(coeff, images[0].nvars)
+        for image, e in zip(images, exp):
+            for _ in range(e):
+                term = term * image
+        result = result + term
+    return result
 
 
 def test_degree_and_homogeneity():
