@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from typing import List, Optional, Sequence
@@ -147,6 +148,18 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _check_threads(threads) -> None:
+    """A thread count must be a positive integer; it selects nothing."""
+    if threads is None:
+        threads = os.environ.get("EQPIERI_THREADS", "1") or "1"
+    try:
+        count = int(threads)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise InputError(f"the thread count must be a positive integer, got {threads!r}")
+
+
 def _sym_text(sym: Sequence[int]) -> str:
     return "{" + ",".join(str(c) for c in sym) + "}"
 
@@ -170,7 +183,7 @@ def _cmd_pieri(args) -> int:
     space = _space_from(args)
     result = compute_pieri(
         space, args.lam, args.mu, args.p,
-        chat=args.chat, pivot=args.pivot, tilde=args.tilde, threads=args.threads,
+        chat=args.chat, pivot=args.pivot, tilde=args.tilde,
     )
     certificate = _certificate_payload(space, result.value, args.certify)
     if args.json:
@@ -191,7 +204,7 @@ def _cmd_expand(args) -> int:
     space = _space_from(args)
     expansion = pieri_expansion(
         space, args.lam, args.p,
-        chat=args.chat, pivot=args.pivot, tilde=args.tilde, threads=args.threads,
+        chat=args.chat, pivot=args.pivot, tilde=args.tilde,
     )
     if args.json:
         entries = []
@@ -280,9 +293,7 @@ def _cmd_verify(args) -> int:
                         if not truth.is_zero:
                             failures += 1
                         continue
-                    value = compute_pieri(
-                        space, lam, mu, p, threads=args.threads
-                    ).value
+                    value = compute_pieri(space, lam, mu, p).value
                     checked += 1
                     if value != truth:
                         failures += 1
@@ -338,6 +349,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
+        if "threads" in args:
+            _check_threads(args.threads)
         return _COMMANDS[args.command](args)
     except InputError as exc:
         print(f"eqpieri: error: {exc}", file=sys.stderr)

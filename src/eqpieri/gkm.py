@@ -16,19 +16,23 @@ representative u_lam whose first m letters are the (signed) letters of
 the symbol; restrictions use the twisted representative w0 * u_lam, and
 the final substitution t_i -> w0(t_i) returns everything to the usual
 torus coordinates.  The class [X_mu]^T restricted to the fixed point nu
-is then the sum, over reduced subwords of a fixed reduced word of
-(the representative of) nu that multiply out to (the representative of)
-mu, of the products of the inversion roots met along the way.
+is Billey's sum, over reduced subwords of a fixed reduced word of (the
+representative of) nu that multiply out to (the representative of) mu, of
+the products of the inversion roots met along the way.  One dynamic
+program evaluates it: it reads the word right to left and carries only
+products in W^P, the minimal coset representatives, since every right
+factor of a reduced word of an element of W^P is again in W^P.
 
-These restrictions satisfy, and are tested against, the standard
-divisibility on curve-connected pairs of fixed points, and the structure
-constants they produce are exact: every division in the triangular
-expansion must come out polynomial, or a ConsistencyError is raised.
+Structure constants come from triangular expansion, and the columns of
+restrictions are built only at the candidate fixed points: those below
+both factors, of codimension at most the sum of theirs.  Every division
+there must come out polynomial, or a ConsistencyError is raised; the
+residual at the other fixed points is not checked by the expansion.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import ConsistencyError, InputError
 from .polyring import Polynomial
@@ -98,6 +102,13 @@ def compose(u: Element, v: Element) -> Element:
     for vi in v:
         ui = u[abs(vi) - 1]
         out.append(ui if vi > 0 else -ui)
+    return tuple(out)
+
+
+def _inverse(w: Element) -> Element:
+    out = [0] * len(w)
+    for pos, x in enumerate(w, 1):
+        out[abs(x) - 1] = pos if x > 0 else -pos
     return tuple(out)
 
 
@@ -264,11 +275,48 @@ def _word_with_roots(v: Element, lie: str, nvars: int):
     return out
 
 
+def _subword_sums(
+    v: Element, lie: str, p_inds, target: Optional[Element] = None
+) -> Dict[Element, Polynomial]:
+    """Billey's subword sums at v for the classes of W^P, keyed by element.
+
+    Reads the reduced word of v right to left, carrying the products x of
+    the letters chosen so far.  s_i extends x only when s_i x is longer
+    (x^-1(alpha_i) > 0) and still in W^P; the inversion roots depend only
+    on the word of v, so the sums at W^P are those of the full subword sum.
+    Each x is carried with its inverse, on which s_i x is one position edit.
+    With a target, products are capped at its length and must end at it.
+    """
+    rank = len(v)
+    one = identity_element(rank)
+    cap = element_length(target, lie) if target is not None else None
+    sums = {one: Polynomial.one(rank)}
+    states = {one: (0, one)}  # length and inverse of each product
+    for i, beta in reversed(_word_with_roots(v, lie, rank)):
+        additions: Dict[Element, Polynomial] = {}
+        for x, val in sums.items():
+            length, x_inv = states[x]
+            if length == cap or not right_ascent(x_inv, i, lie):
+                continue
+            y_inv = apply_simple(x_inv, i, lie)  # (s_i x)^-1 = x^-1 s_i
+            y = _inverse(y_inv)
+            if (length + 1 == cap and y != target) or not all(
+                right_ascent(y, j, lie) for j in p_inds
+            ):
+                continue
+            states[y] = (length + 1, y_inv)
+            term = val * beta
+            additions[y] = additions[y] + term if y in additions else term
+        for y, inc in additions.items():
+            sums[y] = sums[y] + inc if y in sums else inc
+    return sums
+
+
 def fixed_point_restriction(space: Space, mu, nu) -> Polynomial:
     """[X_mu]^T restricted to the fixed point of nu, computed standalone.
 
-    A pruned subword sum: only partial products of length at most
-    length(w_mu) are carried.
+    The subword sum of _subword_sums with the representative of mu as its
+    target, so only products up to its length are carried.
     """
     mu = validate_symbol(space, mu)
     nu = validate_symbol(space, nu)
@@ -277,24 +325,7 @@ def fixed_point_restriction(space: Space, mu, nu) -> Polynomial:
     p_inds = parabolic_indices(space)
     w = minimal_representative(compose(w0, symbol_to_weyl(space, mu)), p_inds, lie)
     v = minimal_representative(compose(w0, symbol_to_weyl(space, nu)), p_inds, lie)
-    target_len = element_length(w, lie)
-    dp: Dict[Element, Polynomial] = {identity_element(nvars): Polynomial.one(nvars)}
-    lengths = {identity_element(nvars): 0}
-    for i, beta in _word_with_roots(v, lie, nvars):
-        additions = {}
-        for u, val in dp.items():
-            lu = lengths[u]
-            if lu >= target_len or not right_ascent(u, i, lie):
-                continue
-            u2 = apply_simple(u, i, lie)
-            if lu + 1 == target_len and u2 != w:
-                continue
-            term = val * beta
-            additions[u2] = additions[u2] + term if u2 in additions else term
-            lengths[u2] = lu + 1
-        for u2, inc in additions.items():
-            dp[u2] = dp[u2] + inc if u2 in dp else inc
-    raw = dp.get(w, Polynomial.zero(nvars))
+    raw = _subword_sums(v, lie, p_inds, w).get(w, Polynomial.zero(nvars))
     return raw.substitute(_phi_images(w0, nvars))
 
 
@@ -353,7 +384,7 @@ class GkmEngine:
         self._phi = _phi_images(self.w0, self.nvars)
         self._reps: Dict[Symbol, Element] = {}
         self._columns: Dict[Symbol, Dict[Element, Polynomial]] = {}
-        self._vectors: Dict[Symbol, Dict[Symbol, Polynomial]] = {}
+        self._values: Dict[Tuple[Symbol, Symbol], Polynomial] = {}
         self._expansions: Dict[Tuple[Symbol, Symbol], Dict[Symbol, Polynomial]] = {}
 
     def representative(self, sym: Symbol) -> Element:
@@ -367,20 +398,9 @@ class GkmEngine:
     def _column(self, nu: Symbol) -> Dict[Element, Polynomial]:
         """Raw subword sums at the fixed point nu, for every class at once."""
         if nu not in self._columns:
-            v = self.representative(nu)
-            dp = {identity_element(self.nvars): Polynomial.one(self.nvars)}
-            for i, beta in _word_with_roots(v, self.lie, self.nvars):
-                additions = {}
-                for u, val in dp.items():
-                    if right_ascent(u, i, self.lie):
-                        u2 = apply_simple(u, i, self.lie)
-                        term = val * beta
-                        additions[u2] = (
-                            additions[u2] + term if u2 in additions else term
-                        )
-                for u2, inc in additions.items():
-                    dp[u2] = dp[u2] + inc if u2 in dp else inc
-            self._columns[nu] = dp
+            self._columns[nu] = _subword_sums(
+                self.representative(nu), self.lie, self.p_inds
+            )
         return self._columns[nu]
 
     def restriction(self, mu, nu) -> Polynomial:
@@ -388,18 +408,17 @@ class GkmEngine:
         return self._restriction(validate_symbol(space, mu), validate_symbol(space, nu))
 
     def _restriction(self, mu: Symbol, nu: Symbol) -> Polynomial:
-        raw = self._column(nu).get(
-            self.representative(mu), Polynomial.zero(self.nvars)
-        )
-        return raw.substitute(self._phi)
+        key = (mu, nu)
+        if key not in self._values:
+            raw = self._column(nu).get(
+                self.representative(mu), Polynomial.zero(self.nvars)
+            )
+            self._values[key] = raw.substitute(self._phi)
+        return self._values[key]
 
     def restriction_vector(self, mu) -> Dict[Symbol, Polynomial]:
         mu = validate_symbol(self.space, mu)
-        if mu not in self._vectors:
-            self._vectors[mu] = {
-                nu: self._restriction(mu, nu) for nu in self.symbols
-            }
-        return self._vectors[mu]
+        return {nu: self._restriction(mu, nu) for nu in self.symbols}
 
     def product_expansion(self, lam, sigma) -> Dict[Symbol, Polynomial]:
         """[X_lam] * [X_sigma] = sum of c^nu [X_nu]: all coefficients."""
@@ -417,25 +436,23 @@ class GkmEngine:
             and _preceq(space, s, lam)
             and _preceq(space, s, sigma)
         ]
-        vec_l = self.restriction_vector(lam)
-        vec_s = self.restriction_vector(sigma)
-        h = {s: vec_l[s] * vec_s[s] for s in candidates}
+        restriction = self._restriction
+        h = {s: restriction(lam, s) * restriction(sigma, s) for s in candidates}
         out: Dict[Symbol, Polynomial] = {}
         for s in candidates:  # ascending (codim, lex)
             val = h[s]
             if val.is_zero:
                 out[s] = val
                 continue
-            c = val.try_divide(self._restriction(s, s))
+            c = val.try_divide(restriction(s, s))
             if c is None:
                 raise ConsistencyError(
                     f"inexact division in the expansion of "
                     f"[{list(lam)}]*[{list(sigma)}] at {list(s)}"
                 )
             out[s] = c
-            vec = self.restriction_vector(s)
             for s2 in candidates:
-                h[s2] = h[s2] - c * vec[s2]
+                h[s2] = h[s2] - c * restriction(s, s2)
         self._expansions[key] = out
         return out
 

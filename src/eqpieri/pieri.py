@@ -26,14 +26,10 @@ coefficients (the "tilde" variant) are obtained by swapping the letters
 n <-> n+1 in lambda and mu and twisting the result by t_n -> -t_n.
 
 The subset terms of the sum branch are evaluated and reduced in subset order.
-A thread count (``threads`` argument or the EQPIERI_THREADS environment
-variable) is still accepted and must be a positive integer, but it selects
-nothing: every coefficient is computed in the calling thread.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -102,18 +98,6 @@ class PieriComputation:
     value: Polynomial
 
 
-def _check_threads(threads) -> None:
-    """A thread count must be a positive integer; it selects nothing."""
-    if threads is None:
-        threads = os.environ.get("EQPIERI_THREADS", "1") or "1"
-    try:
-        count = int(threads)
-    except (TypeError, ValueError):
-        count = 0
-    if count < 1:
-        raise InputError(f"the thread count must be a positive integer, got {threads!r}")
-
-
 def compute_pieri(
     space: Space,
     lam: Sequence[int],
@@ -123,14 +107,12 @@ def compute_pieri(
     chat: Optional[int] = None,
     pivot: Optional[Sequence[int]] = None,
     tilde: bool = False,
-    threads: Optional[int] = None,
 ) -> PieriComputation:
     """N^mu_{lambda,p} with full provenance."""
     lam = validate_symbol(space, lam)
     mu = validate_symbol(space, mu)
     p = int(p)
     special_class(space, p, tilde)
-    _check_threads(threads)
     nvars = space.torus_rank
     if tilde:
         inner = compute_pieri(
@@ -140,7 +122,6 @@ def compute_pieri(
             p,
             chat=chat,
             pivot=pivot,
-            threads=threads,
         )
         value = inner.value.substitute(family_twist_images(space.n))
         return PieriComputation(
@@ -198,12 +179,9 @@ def pieri_coefficient(
     chat: Optional[int] = None,
     pivot: Optional[Sequence[int]] = None,
     tilde: bool = False,
-    threads: Optional[int] = None,
 ) -> Polynomial:
     """The structure coefficient N^mu_{lambda,p}, an exact polynomial."""
-    return compute_pieri(
-        space, lam, mu, p, chat=chat, pivot=pivot, tilde=tilde, threads=threads
-    ).value
+    return compute_pieri(space, lam, mu, p, chat=chat, pivot=pivot, tilde=tilde).value
 
 
 def pieri_expansion(
@@ -214,15 +192,12 @@ def pieri_expansion(
     chat: Optional[int] = None,
     pivot: Optional[Sequence[int]] = None,
     tilde: bool = False,
-    threads: Optional[int] = None,
 ) -> Dict[Symbol, Polynomial]:
     """All nonzero coefficients of the product with the special class."""
     lam = validate_symbol(space, lam)
     out: Dict[Symbol, Polynomial] = {}
     for mu in enumerate_symbols(space):
-        value = pieri_coefficient(
-            space, lam, mu, p, chat=chat, pivot=pivot, tilde=tilde, threads=threads
-        )
+        value = pieri_coefficient(space, lam, mu, p, chat=chat, pivot=pivot, tilde=tilde)
         if not value.is_zero:
             out[mu] = value
     return out

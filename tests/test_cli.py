@@ -6,6 +6,8 @@ terms and optional certificate, invalid input exits 1, and internal
 consistency failures exit 2.  Results never depend on the thread count.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -13,9 +15,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eqpieri
 from eqpieri.cli import main
+from eqpieri.schubert import Space, enumerate_symbols, pieri_bound
 
 
 def run_cli(capsys, *argv):
@@ -282,3 +287,54 @@ def test_verify_small_suite_passes(capsys):
     assert code == 0
     assert out.rstrip().endswith("verify: PASS")
     assert "MISMATCH" not in out
+
+
+# every space of torus rank <= 4 except the maximal OG(n,2n), which the
+# oracle does not cover
+SMALL_SPACES = [
+    Space(lie, m, n)
+    for lie in "ABCD"
+    for n in range(2 if lie == "D" else 1, 5)
+    for m in range(0, n if lie == "D" else n + 1)
+]
+
+
+def call_main(argv):
+    """main as a process runs it: a usage error exits through SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def coefficient_argv(draw):
+    """Mostly valid input; about one draw in six may be out of range."""
+    space = draw(st.sampled_from(SMALL_SPACES))
+    bound = pieri_bound(space)
+
+    def rare():
+        return draw(st.integers(0, 5)) == 5
+
+    valid = st.sampled_from(enumerate_symbols(space))
+    anything = st.lists(st.integers(-1, space.ambient + 1), max_size=space.m + 1)
+    text = [",".join(str(c) for c in draw(anything if rare() else valid))
+            for _ in range(2)]
+    p = draw(st.integers(-1, bound + 1) if rare() or bound == 0 else st.integers(1, bound))
+    tilde = draw(st.booleans()) if space.lie_type == "D" else rare()
+    argv = ["--type", space.lie_type, "--n", str(space.n), "--m", str(space.m),
+            "--lambda", text[0], "--mu", text[1], "--p", str(p)]
+    return argv + ["--tilde"] if tilde else argv
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(coefficient_argv())
+def test_oracle_exits_cleanly_and_agrees_with_pieri(argv):
+    code, out, err = call_main(["oracle", *argv])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 0:
+        assert call_main(["pieri", *argv])[:2] == (0, out)

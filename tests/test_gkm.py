@@ -5,6 +5,8 @@ import pytest
 from eqpieri.errors import ConsistencyError, InputError
 from eqpieri.gkm import (
     GkmEngine,
+    act_on_vector,
+    alpha_vector,
     apply_simple,
     compose,
     element_length,
@@ -16,6 +18,7 @@ from eqpieri.gkm import (
     oracle_structure_constant,
     parabolic_indices,
     reduced_word,
+    right_ascent,
     symbol_to_weyl,
     type_d_restriction,
     weight_of_symbol,
@@ -26,9 +29,13 @@ from eqpieri.schubert import (
     Space,
     codim,
     enumerate_symbols,
+    family_twist_images,
     pieri_bound,
     preceq,
+    special_class,
     special_symbol,
+    swap_wall_letters,
+    type_of,
 )
 
 GR25 = Space("A", 2, 5)
@@ -36,6 +43,7 @@ SG26 = Space("C", 2, 3)
 OG27 = Space("B", 2, 3)
 OG26 = Space("D", 2, 3)
 OG28 = Space("D", 2, 4)
+OG38 = Space("D", 3, 4)
 
 
 def t(i, n):
@@ -53,17 +61,21 @@ def test_projective_line_restrictions():
     assert fixed_point_restriction(space, (1,), (1,)) == t(2, 2) - t(1, 2)
 
 
+def _representative(space, sym):
+    """The twisted minimal representative of a symbol, built from scratch."""
+    lie, rank = space.lie_type, space.torus_rank
+    w0 = longest_element(lie, rank)
+    return minimal_representative(
+        compose(w0, symbol_to_weyl(space, sym)), parabolic_indices(space), lie
+    )
+
+
 def test_representative_lengths_equal_codimension():
     # the twisted minimal representative of lambda has length codim(lambda)
     for space in (GR25, SG26, OG27, OG26, OG28):
-        lie = space.lie_type
-        rank = space.ambient if lie == "A" else space.n
-        w0 = longest_element(lie, rank)
-        p_inds = parabolic_indices(space)
         for lam in enumerate_symbols(space):
-            u = symbol_to_weyl(space, lam)
-            w = minimal_representative(compose(w0, u), p_inds, lie)
-            assert element_length(w, lie) == codim(space, lam)
+            w = _representative(space, lam)
+            assert element_length(w, space.lie_type) == codim(space, lam)
 
 
 def test_type_a_agreement_with_restriction_formula():
@@ -90,6 +102,73 @@ def test_maximal_space_rejects_the_opposite_family():
     maximal = Space("D", 3, 3)
     with pytest.raises(InputError, match="opposite component"):
         symbol_to_weyl(maximal, (2, 3, 6))  # odd number of letters above the wall
+
+
+def _billey_restrictions(space, nu, classes):
+    """The classes restricted to nu by Billey's formula, with no pruning.
+
+    Walks every reduced subword of a reduced word of the representative of
+    nu, over the whole Weyl group, and returns mu -> restriction.
+    """
+    lie, rank = space.lie_type, space.torus_rank
+    word = reduced_word(_representative(space, nu), lie)
+    roots, prefix = [], identity_element(rank)
+    for i in word:
+        roots.append(Polynomial.linear(act_on_vector(prefix, alpha_vector(lie, rank, i))))
+        prefix = apply_simple(prefix, i, lie)
+    sums = {}
+
+    def walk(j, w, value):
+        if j == len(word):
+            sums[w] = sums[w] + value if w in sums else value
+            return
+        walk(j + 1, w, value)
+        if right_ascent(w, word[j], lie):
+            walk(j + 1, apply_simple(w, word[j], lie), value * roots[j])
+
+    walk(0, identity_element(rank), Polynomial.one(rank))
+    w0 = longest_element(lie, rank)
+    phi = [Polynomial.variable(abs(x), rank) * (1 if x > 0 else -1) for x in w0]
+    zero = Polynomial.zero(rank)
+    return {
+        mu: sums.get(_representative(space, mu), zero).substitute(phi)
+        for mu in classes
+    }
+
+
+@pytest.mark.parametrize(
+    "space",
+    # OG(2,6) and OG(3,8) have m = n-1: parabolic_indices drops two indices
+    (GR25, SG26, OG27, Space("D", 1, 4), OG26, OG38),
+    ids=lambda space: space.name(),
+)
+def test_pruned_restrictions_equal_the_full_billey_sum(space):
+    engine = GkmEngine(space)
+    p_inds = parabolic_indices(space)
+    symbols = enumerate_symbols(space)
+    for nu in symbols:
+        expected = _billey_restrictions(space, nu, symbols)
+        for x in engine._column(nu):
+            assert minimal_representative(x, p_inds, space.lie_type) == x
+        for mu in symbols:
+            assert engine.restriction(mu, nu) == expected[mu]
+            assert fixed_point_restriction(space, mu, nu) == expected[mu]
+
+
+def test_maximal_type_d_restriction_equals_the_reference_by_swap_and_twist():
+    maximal = Space("D", 3, 3)
+    for q in range(1, pieri_bound(maximal) + 1):
+        s_q = special_class(maximal, q)
+        if type_of(maximal, s_q) != 1:
+            s_q = swap_wall_letters(maximal, s_q)
+        for nu in enumerate_symbols(maximal):
+            if type_of(maximal, nu) == 1:
+                expected = _billey_restrictions(maximal, nu, [s_q])[s_q]
+            else:
+                swapped = swap_wall_letters(maximal, nu)
+                raw = _billey_restrictions(maximal, swapped, [s_q])[s_q]
+                expected = raw.substitute(family_twist_images(3))
+            assert type_d_restriction(maximal, nu, q) == expected
 
 
 def test_support_of_restrictions_is_the_partial_order():
@@ -143,7 +222,9 @@ def test_restrictions_satisfy_divisibility_along_edges():
 
 
 def test_product_expansions_hold_at_every_fixed_point():
-    for space in (SG26, OG26):
+    # the expansion reads only the candidate points; the identity must hold
+    # at every fixed point
+    for space in (SG26, OG26, GR25, OG27, OG38):
         engine = GkmEngine(space)
         symbols = enumerate_symbols(space)
         for lam in symbols[:5]:
@@ -151,7 +232,7 @@ def test_product_expansions_hold_at_every_fixed_point():
                 expansion = engine.product_expansion(lam, sigma)
                 for nu in symbols:
                     lhs = engine.restriction(lam, nu) * engine.restriction(sigma, nu)
-                    rhs = Polynomial.zero(space.n)
+                    rhs = Polynomial.zero(space.torus_rank)
                     for mu, coeff in expansion.items():
                         rhs = rhs + coeff * engine.restriction(mu, nu)
                     assert lhs == rhs

@@ -1,7 +1,5 @@
 """Structure coefficients: worked values, invariants, and branch behavior."""
 
-import os
-
 import pytest
 
 from eqpieri.diagram import arrow, build
@@ -217,17 +215,17 @@ def test_degree_zero_and_range_errors():
         pieri_coefficient(OG28, (4, 8), (3, 7), 3, tilde=True)
 
 
-def test_thread_count_does_not_change_the_bytes():
+def test_thread_count_does_not_change_the_bytes(monkeypatch):
+    # the CLI checks --threads and EQPIERI_THREADS once; the library takes
+    # no thread count and never reads the variable
     result = pieri_coefficient(SG38, (2, 4, 8), (1, 3, 5), 5)
-    for count in (2, 3, 8):
-        assert pieri_coefficient(SG38, (2, 4, 8), (1, 3, 5), 5, threads=count) == result
-    os.environ["EQPIERI_THREADS"] = "5"
-    try:
-        assert pieri_coefficient(SG38, (2, 4, 8), (1, 3, 5), 5) == result
-    finally:
-        del os.environ["EQPIERI_THREADS"]
-    with pytest.raises(InputError, match="thread count"):
-        pieri_coefficient(SG38, (2, 4, 8), (1, 3, 5), 5, threads=0)
+    monkeypatch.setenv("EQPIERI_THREADS", "abc")
+    assert pieri_coefficient(SG38, (2, 4, 8), (1, 3, 5), 5) == result
+    for call in (pieri_coefficient, compute_pieri):
+        with pytest.raises(TypeError, match="threads"):
+            call(SG38, (2, 4, 8), (1, 3, 5), 5, threads=2)
+    with pytest.raises(TypeError, match="threads"):
+        pieri_expansion(SG38, (2, 4, 8), 5, threads=2)
 
 
 def test_every_nonzero_small_space_value_is_certified_positive():
