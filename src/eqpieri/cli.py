@@ -12,21 +12,20 @@ enumerate  all Schubert symbols of a space
 
 Output is deterministic byte for byte: polynomials render in descending
 graded lexicographic order with explicit ``*`` and ``^``, symbols print in
-increasing order, and thread counts never change results.  Exit status is 0
-on success, 1 for invalid input, and 2 when an internal consistency check
-fails (which would indicate a genuine defect, never bad user input).
+increasing order.  Exit status is 0 on success, 1 for invalid input, and 2
+when an internal consistency check fails (which would indicate a genuine
+defect, never bad user input).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import random
 import sys
 from typing import List, Optional, Sequence
 
-from .diagram import arrow, build
+from .audit import SMALL_SUITE, audit, identity_failures
+from .diagram import build
 from .errors import ConsistencyError, InputError
 from .gkm import GkmEngine, fixed_point_restriction, type_d_restriction
 from .pieri import (
@@ -35,15 +34,8 @@ from .pieri import (
     positivity_certificate,
 )
 from .polyring import Polynomial
-from .restrict_a import restriction_coefficient, schur_identity_check
-from .schubert import (
-    Space,
-    enumerate_symbols,
-    pieri_bound,
-    special_class,
-    special_symbol,
-    validate_symbol,
-)
+from .restrict_a import restriction_coefficient
+from .schubert import Space, enumerate_symbols, special_class, validate_symbol
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,9 +77,6 @@ def _add_choice_flags(parser):
                         help="column dropped from Q (types B and D)")
     parser.add_argument("--pivot", type=_symbol_argument, default=None,
                         help="replacement pivot columns (type C)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="accepted for compatibility: a positive integer "
-                             "that changes nothing (default: EQPIERI_THREADS or 1)")
 
 
 def build_parser() -> _Parser:
@@ -110,7 +99,6 @@ def build_parser() -> _Parser:
     _add_space_flags(p_expand, with_mu=False)
     p_expand.add_argument("--p", type=int, required=True)
     p_expand.add_argument("--tilde", action="store_true")
-    _add_choice_flags(p_expand)
     p_expand.add_argument("--json", action="store_true")
     p_expand.add_argument("--certify", action="store_true")
 
@@ -133,31 +121,17 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--suite", choices=("small",), default="small")
     p_verify.add_argument("--seed", type=int, default=0,
                           help="seed for the polynomial identity spot checks")
-    p_verify.add_argument("--threads", type=int, default=None)
 
     p_diagram = sub.add_parser("diagram", help="cut diagram and branch data")
     _add_space_flags(p_diagram)
     p_diagram.add_argument("--p", type=int, required=True)
-    p_diagram.add_argument("--chat", type=int, default=None)
-    p_diagram.add_argument("--pivot", type=_symbol_argument, default=None)
+    _add_choice_flags(p_diagram)
 
     p_enum = sub.add_parser("enumerate", help="all symbols of a space")
     _add_space_flags(p_enum, with_mu=False, with_lambda=False)
     p_enum.add_argument("--json", action="store_true")
 
     return parser
-
-
-def _check_threads(threads) -> None:
-    """A thread count must be a positive integer; it selects nothing."""
-    if threads is None:
-        threads = os.environ.get("EQPIERI_THREADS", "1") or "1"
-    try:
-        count = int(threads)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise InputError(f"the thread count must be a positive integer, got {threads!r}")
 
 
 def _sym_text(sym: Sequence[int]) -> str:
@@ -202,10 +176,7 @@ def _cmd_pieri(args) -> int:
 
 def _cmd_expand(args) -> int:
     space = _space_from(args)
-    expansion = pieri_expansion(
-        space, args.lam, args.p,
-        chat=args.chat, pivot=args.pivot, tilde=args.tilde,
-    )
+    expansion = pieri_expansion(space, args.lam, args.p, tilde=args.tilde)
     if args.json:
         entries = []
         for mu, value in expansion.items():
@@ -278,48 +249,27 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    spaces = (Space("A", 2, 5), Space("C", 2, 3), Space("B", 2, 3), Space("D", 2, 4))
     failures = 0
-    for space in spaces:
-        engine = GkmEngine(space)
-        symbols = enumerate_symbols(space)
+    for space in SMALL_SUITE:
         checked = nonzero = 0
-        for lam in symbols:
-            for p in range(1, pieri_bound(space) + 1):
-                expansion = engine.product_expansion(lam, special_symbol(space, p)[0])
-                for mu in symbols:
-                    truth = expansion.get(mu, Polynomial.zero(engine.nvars))
-                    if not arrow(space, lam, mu):
-                        if not truth.is_zero:
-                            failures += 1
-                        continue
-                    value = compute_pieri(space, lam, mu, p).value
-                    checked += 1
-                    if value != truth:
-                        failures += 1
-                        print(f"MISMATCH {space.name()} lambda={list(lam)} "
-                              f"mu={list(mu)} p={p}")
-                        continue
-                    if not value.is_zero:
-                        nonzero += 1
-                        if not positivity_certificate(space, value).ok:
-                            failures += 1
-                            print(f"UNCERTIFIED {space.name()} lambda={list(lam)} "
-                                  f"mu={list(mu)} p={p}")
+        for r in audit(space):
+            checked += r.arrow
+            nonzero += r.rule == r.oracle and not r.rule.is_zero
+            if r.rule != r.oracle:
+                failure = "MISMATCH"
+            elif not (r.rule.is_zero or positivity_certificate(space, r.rule).ok):
+                failure = "UNCERTIFIED"
+            else:
+                continue
+            failures += 1
+            print(f"{failure} {space.name()} lambda={list(r.lam)} mu={list(r.mu)} p={r.p}")
         print(f"{space.name()}: {checked} coefficients checked, "
               f"{nonzero} nonzero, all against localization")
-    rng = random.Random(args.seed)
-    identity_checks = 0
-    for _ in range(200):
-        r = rng.randint(1, 5)
-        p = rng.randint(1, 5)
-        pool = rng.sample(range(-20, 21), r + p - 1 + r)
-        xs, ys = pool[:r], pool[r:]
-        if not schur_identity_check(xs, ys):
-            failures += 1
-            print(f"IDENTITY FAILURE xs={xs} ys={ys}")
-        identity_checks += 1
-    print(f"polynomial identity spot checks: {identity_checks}")
+    identity = identity_failures(args.seed, 200)
+    for xs, ys in identity:
+        print(f"IDENTITY FAILURE xs={xs} ys={ys}")
+    print("polynomial identity spot checks: 200")
+    failures += len(identity)
     if failures:
         print(f"verify: FAIL ({failures} failures)")
         raise ConsistencyError(f"{failures} verification failures")
@@ -349,8 +299,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        if "threads" in args:
-            _check_threads(args.threads)
         return _COMMANDS[args.command](args)
     except InputError as exc:
         print(f"eqpieri: error: {exc}", file=sys.stderr)

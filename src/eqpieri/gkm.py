@@ -348,11 +348,10 @@ def type_d_restriction(space: Space, nu, q: int) -> Polynomial:
     """
     if space.lie_type != "D":
         raise InputError("this restriction shortcut is for even orthogonal spaces")
-    nvars = space.n
+    nu = validate_symbol(space, nu)
+    n = nvars = space.n
     if q < 0:
         return Polynomial.zero(nvars)
-    n = space.n
-    nu = validate_symbol(space, nu)
     if q == 0:
         if space.m == n:
             odd = len([c for c in nu if c <= n]) % 2 == 1
@@ -372,7 +371,7 @@ def type_d_restriction(space: Space, nu, q: int) -> Polynomial:
 
 
 class GkmEngine:
-    """Cached restriction table and structure constants for one space."""
+    """Structure constants of one space from its cached restriction table."""
 
     def __init__(self, space: Space):
         self.space = space
@@ -385,7 +384,6 @@ class GkmEngine:
         self._reps: Dict[Symbol, Element] = {}
         self._columns: Dict[Symbol, Dict[Element, Polynomial]] = {}
         self._values: Dict[Tuple[Symbol, Symbol], Polynomial] = {}
-        self._expansions: Dict[Tuple[Symbol, Symbol], Dict[Symbol, Polynomial]] = {}
 
     def representative(self, sym: Symbol) -> Element:
         if sym not in self._reps:
@@ -424,9 +422,6 @@ class GkmEngine:
         """[X_lam] * [X_sigma] = sum of c^nu [X_nu]: all coefficients."""
         lam = validate_symbol(self.space, lam)
         sigma = validate_symbol(self.space, sigma)
-        key = (lam, sigma)
-        if key in self._expansions:
-            return self._expansions[key]
         space = self.space
         bound = _codim(space, lam) + _codim(space, sigma)
         candidates = [
@@ -453,7 +448,6 @@ class GkmEngine:
             out[s] = c
             for s2 in candidates:
                 h[s2] = h[s2] - c * restriction(s, s2)
-        self._expansions[key] = out
         return out
 
     def product_coefficient(self, lam, sigma, mu) -> Polynomial:

@@ -185,19 +185,13 @@ def pieri_coefficient(
 
 
 def pieri_expansion(
-    space: Space,
-    lam: Sequence[int],
-    p: int,
-    *,
-    chat: Optional[int] = None,
-    pivot: Optional[Sequence[int]] = None,
-    tilde: bool = False,
+    space: Space, lam: Sequence[int], p: int, *, tilde: bool = False
 ) -> Dict[Symbol, Polynomial]:
     """All nonzero coefficients of the product with the special class."""
     lam = validate_symbol(space, lam)
     out: Dict[Symbol, Polynomial] = {}
     for mu in enumerate_symbols(space):
-        value = pieri_coefficient(space, lam, mu, p, chat=chat, pivot=pivot, tilde=tilde)
+        value = pieri_coefficient(space, lam, mu, p, tilde=tilde)
         if not value.is_zero:
             out[mu] = value
     return out

@@ -2,7 +2,7 @@
 
 One test per contract, in order: the four worked structure coefficients
 (one per Lie type, with runtime ceilings), the full rule-versus-localization
-sweep over four small spaces, the ordinary-cohomology limit, Graham
+audit over four small spaces, the ordinary-cohomology limit, Graham
 positivity of every nonzero output, the rational-function identity and the
 symmetric-function cross-check behind the type-A restriction formula,
 independence from every discretionary choice the reductions allow, and the
@@ -10,57 +10,48 @@ support characterization of nonvanishing, which in type D at the critical
 degree p = n - m decides by the family of the reduced index set which of
 the two special classes has a nonzero coefficient.  All comparisons are
 exact symbolic equality with zero tolerance.
+
+The sweeps read the records of ``eqpieri.audit``, the same audit that
+``eqpieri verify`` prints; each space's records are computed once per
+session.
 """
 
-import random
+import functools
 import time
 from collections import Counter
 from itertools import combinations
 
-from eqpieri.diagram import arrow, build, l_columns, q_columns
-from eqpieri.gkm import GkmEngine
-from eqpieri.pieri import (
-    compute_pieri,
-    pieri_coefficient,
-    positivity_certificate,
-    swap_wall_letters,
-)
+from eqpieri.audit import SMALL_SUITE, audit, identity_failures
+from eqpieri.diagram import build, l_columns, q_columns
+from eqpieri.pieri import compute_pieri, pieri_coefficient, positivity_certificate
 from eqpieri.polyring import Polynomial
-from eqpieri.restrict_a import (
-    restriction_coefficient,
-    restriction_coefficient_symfn,
-    schur_identity_check,
-)
+from eqpieri.restrict_a import restriction_coefficient, restriction_coefficient_symfn
 from eqpieri.schubert import (
     Space,
     codim,
     enumerate_symbols,
     leq,
-    pieri_bound,
     preceq,
-    special_symbol,
+    special_class,
     type_of,
 )
-
-SWEEP_SPACES = (Space("A", 2, 5), Space("C", 2, 3), Space("B", 2, 3),
-                Space("D", 2, 4))
-
 
 def variables(nvars):
     return [Polynomial.variable(i, nvars) for i in range(1, nvars + 1)]
 
 
-def sweep(space):
-    """Yield (lam, mu, p, oracle_value) over every pair with lam -> mu."""
-    engine = GkmEngine(space)
-    symbols = enumerate_symbols(space)
-    for lam in symbols:
-        for p in range(1, pieri_bound(space) + 1):
-            expansion = engine.product_expansion(lam, special_symbol(space, p)[0])
-            for mu in symbols:
-                if arrow(space, lam, mu):
-                    yield lam, mu, p, expansion.get(
-                        mu, Polynomial.zero(engine.nvars))
+@functools.cache
+def records(space, tilde):
+    """The audit of one space and special class, computed once per session.
+
+    tilde has no default: a call that omitted it would be another cache key.
+    """
+    return tuple(audit(space, tilde))
+
+
+def arrow_records(space):
+    """The records of the first special class with lambda -> mu."""
+    return [r for r in records(space, False) if r.arrow]
 
 
 def test_type_a_worked_value_within_one_second():
@@ -116,64 +107,42 @@ def test_type_d_reduction_worked_value_within_ten_seconds():
 
 
 def test_rule_equals_localization_oracle_on_four_spaces():
+    # every pair of the four spaces, and the second special class of OG(2,8)
+    # at p = n - m against the oracle multiplying by its own symbol
     checked = 0
-    for space in SWEEP_SPACES:
-        for lam, mu, p, truth in sweep(space):
-            value = pieri_coefficient(space, lam, mu, p)
-            assert value == truth, (
-                f"{space.name()} lambda={lam} mu={mu} p={p}: "
-                f"{value.render()} != {truth.render()}"
+    audits = [(space, False) for space in SMALL_SUITE] + [(Space("D", 2, 4), True)]
+    for space, tilde in audits:
+        for r in records(space, tilde):
+            assert r.rule == r.oracle, (
+                f"{space.name()} lambda={r.lam} mu={r.mu} p={r.p} tilde={tilde}: "
+                f"{r.rule.render()} != {r.oracle.render()}"
             )
-            checked += 1
-
-    # the second special class of OG(2,8) at p = n - m, against the oracle
-    # multiplying by its own symbol
-    space = Space("D", 2, 4)
-    p = space.n - space.m
-    engine = GkmEngine(space)
-    tilde_special = swap_wall_letters(space, special_symbol(space, p)[0])
-    symbols = enumerate_symbols(space)
-    for lam in symbols:
-        expansion = engine.product_expansion(lam, tilde_special)
-        for mu in symbols:
-            if not arrow(space, lam, mu):
-                continue
-            value = pieri_coefficient(space, lam, mu, p, tilde=True)
-            truth = expansion.get(mu, Polynomial.zero(engine.nvars))
-            assert value == truth, (
-                f"{space.name()} lambda={lam} mu={mu} p={p} tilde: "
-                f"{value.render()} != {truth.render()}"
-            )
-            checked += 1
+            checked += r.arrow
     assert checked == 105 + 220 + 220 + 805 + 161
 
 
 def test_ordinary_cohomology_limit_counts_quadric_subsets():
-    for space in SWEEP_SPACES:
-        zeros = [Polynomial.zero(space.ambient if space.lie_type == "A"
-                                 else space.n)] * (
-            space.ambient if space.lie_type == "A" else space.n)
-        for lam, mu, p, truth in sweep(space):
-            value = pieri_coefficient(space, lam, mu, p)
+    for space in SMALL_SUITE:
+        zeros = [Polynomial.zero(space.torus_rank)] * space.torus_rank
+        for r in arrow_records(space):
             if (space.lie_type == "C"
-                    and codim(space, mu) == codim(space, lam) + p):
-                q_count = len(build(space, lam, mu, p).Q)
-                assert value.constant_term() == 2 ** q_count
-                assert value.degree() == 0
+                    and codim(space, r.mu) == codim(space, r.lam) + r.p):
+                q_count = len(build(space, r.lam, r.mu, r.p).Q)
+                assert r.rule.constant_term() == 2 ** q_count
+                assert r.rule.degree() == 0
             else:
-                assert value.substitute(zeros) == truth.substitute(zeros)
+                assert r.rule.substitute(zeros) == r.oracle.substitute(zeros)
 
 
 def test_every_nonzero_coefficient_has_positivity_certificate():
     certified = 0
-    for space in SWEEP_SPACES:
-        for lam, mu, p, _ in sweep(space):
-            value = pieri_coefficient(space, lam, mu, p)
-            if value.is_zero:
+    for space in SMALL_SUITE:
+        for r in arrow_records(space):
+            if r.rule.is_zero:
                 continue
-            certificate = positivity_certificate(space, value)
+            certificate = positivity_certificate(space, r.rule)
             assert certificate.ok, (
-                f"{space.name()} lambda={lam} mu={mu} p={p}: "
+                f"{space.name()} lambda={r.lam} mu={r.mu} p={r.p}: "
                 f"{certificate.failure}"
             )
             certified += 1
@@ -181,12 +150,7 @@ def test_every_nonzero_coefficient_has_positivity_certificate():
 
 
 def test_restriction_identities_random_and_exhaustive():
-    rng = random.Random(20260815)
-    for _ in range(1000):
-        r = rng.randint(1, 5)
-        p = rng.randint(1, 5)
-        pool = rng.sample(range(-20, 21), 2 * r + p - 1)
-        assert schur_identity_check(pool[:r], pool[r:])
+    assert identity_failures(20260815, 1000) == []
     for N in range(1, 11):
         for m in range(1, N + 1):
             space = Space("A", m, N)
@@ -199,7 +163,8 @@ def test_restriction_identities_random_and_exhaustive():
 def test_pivot_and_dropped_column_choices_are_immaterial():
     space = Space("C", 2, 3)
     alternates = 0
-    for lam, mu, p, _ in sweep(space):
+    for r in arrow_records(space):
+        lam, mu, p = r.lam, r.mu, r.p
         if codim(space, mu) > codim(space, lam) + p:
             continue
         diagram = build(space, lam, mu, p)
@@ -208,24 +173,23 @@ def test_pivot_and_dropped_column_choices_are_immaterial():
         nu_set = set(diagram.nu)
         candidates = [c for c in range(1, space.n + 1)
                       if c in nu_set and space.ambient + 1 - c in nu_set]
-        default = pieri_coefficient(space, lam, mu, p)
         for pivot in combinations(candidates, len(diagram.Q)):
-            assert pieri_coefficient(space, lam, mu, p, pivot=pivot) == default
+            assert pieri_coefficient(space, lam, mu, p, pivot=pivot) == r.rule
             if pivot != diagram.sum_set:
                 alternates += 1
     assert alternates > 0
 
     dropped_cases = 0
     for space in (Space("B", 2, 3), Space("D", 2, 4)):
-        for lam, mu, p, _ in sweep(space):
+        for r in arrow_records(space):
+            lam, mu, p = r.lam, r.mu, r.p
             if codim(space, mu) > codim(space, lam) + p:
                 continue
             diagram = build(space, lam, mu, p)
             if diagram.dropped is None or len(diagram.Q) < 2:
                 continue
-            default = pieri_coefficient(space, lam, mu, p)
             for chat in diagram.Q:
-                assert pieri_coefficient(space, lam, mu, p, chat=chat) == default
+                assert pieri_coefficient(space, lam, mu, p, chat=chat) == r.rule
             dropped_cases += 1
     assert dropped_cases == 8
 
@@ -252,38 +216,29 @@ def family_condition(space, lam, mu, p, special):
 def test_nonvanishing_matches_the_support_characterization():
     mismatches = []
     decided = Counter()
-    for space in SWEEP_SPACES:
-        symbols = enumerate_symbols(space)
-        for lam in symbols:
-            for p in range(1, pieri_bound(space) + 1):
-                special = special_symbol(space, p)[0]
-                classes = [(False, special)]
-                if space.lie_type == "D" and p == space.n - space.m:
-                    classes.append((True, swap_wall_letters(space, special)))
-                for tilde, sigma in classes:
-                    for mu in symbols:
-                        value = pieri_coefficient(space, lam, mu, p, tilde=tilde)
-                        if space.lie_type == "D":
-                            below_special = preceq(space, mu, sigma)
-                        else:
-                            below_special = leq(space, mu, sigma)
-                        predicted = (
-                            arrow(space, lam, mu)
-                            and codim(space, mu) <= codim(space, lam) + p
-                            and below_special
-                        )
-                        if predicted:
-                            family = family_condition(space, lam, mu, p, sigma)
-                            if family is not None:
-                                predicted = family
-                                decided[space.name(), tilde, family] += 1
-                        if (not value.is_zero) != predicted:
-                            mismatches.append(
-                                f"{space.name()} lambda={list(lam)} "
-                                f"mu={list(mu)} p={p} tilde={tilde}: value "
-                                f"{value.render()} but support predicate "
-                                f"says {predicted}"
-                            )
+    for space in SMALL_SUITE:
+        # in type D the second special class too, at p = n - m
+        for tilde in (False, True) if space.lie_type == "D" else (False,):
+            below = preceq if space.lie_type == "D" else leq
+            for r in records(space, tilde):
+                lam, mu, p = r.lam, r.mu, r.p
+                sigma = special_class(space, p, tilde)
+                predicted = (
+                    r.arrow
+                    and codim(space, mu) <= codim(space, lam) + p
+                    and below(space, mu, sigma)
+                )
+                if predicted:
+                    family = family_condition(space, lam, mu, p, sigma)
+                    if family is not None:
+                        predicted = family
+                        decided[space.name(), tilde, family] += 1
+                if (not r.rule.is_zero) != predicted:
+                    mismatches.append(
+                        f"{space.name()} lambda={list(lam)} mu={list(mu)} "
+                        f"p={p} tilde={tilde}: value {r.rule.render()} but "
+                        f"support predicate says {predicted}"
+                    )
     assert not mismatches, (
         f"{len(mismatches)} support mismatches:\n" + "\n".join(mismatches)
     )

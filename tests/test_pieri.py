@@ -216,8 +216,7 @@ def test_degree_zero_and_range_errors():
 
 
 def test_thread_count_does_not_change_the_bytes(monkeypatch):
-    # the CLI checks --threads and EQPIERI_THREADS once; the library takes
-    # no thread count and never reads the variable
+    # the library takes no thread count and never reads EQPIERI_THREADS
     result = pieri_coefficient(SG38, (2, 4, 8), (1, 3, 5), 5)
     monkeypatch.setenv("EQPIERI_THREADS", "abc")
     assert pieri_coefficient(SG38, (2, 4, 8), (1, 3, 5), 5) == result
@@ -226,6 +225,15 @@ def test_thread_count_does_not_change_the_bytes(monkeypatch):
             call(SG38, (2, 4, 8), (1, 3, 5), 5, threads=2)
     with pytest.raises(TypeError, match="threads"):
         pieri_expansion(SG38, (2, 4, 8), 5, threads=2)
+
+
+def test_expansion_takes_no_per_pair_choice():
+    # a dropped column or pivot belongs to one pair (lambda, mu), and no
+    # single choice is valid for every mu of an expansion
+    with pytest.raises(TypeError, match="chat"):
+        pieri_expansion(OG27, (3, 6), 3, chat=2)
+    with pytest.raises(TypeError, match="pivot"):
+        pieri_expansion(SG38, (2, 4, 8), 5, pivot=(1, 3))
 
 
 def test_every_nonzero_small_space_value_is_certified_positive():

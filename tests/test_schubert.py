@@ -104,6 +104,7 @@ ENTRY_POINTS = {
     "fixed_point_restriction mu": lambda s: fixed_point_restriction(OG28, s, GOOD),
     "fixed_point_restriction nu": lambda s: fixed_point_restriction(OG28, GOOD, s),
     "type_d_restriction": lambda s: type_d_restriction(OG28, s, 1),
+    "type_d_restriction q=-1": lambda s: type_d_restriction(OG28, s, -1),
     "GkmEngine.restriction mu": lambda s: GkmEngine(OG28).restriction(s, GOOD),
     "GkmEngine.restriction nu": lambda s: GkmEngine(OG28).restriction(GOOD, s),
     "GkmEngine.restriction_vector": lambda s: GkmEngine(OG28).restriction_vector(s),
