@@ -12,7 +12,6 @@ from .errors import ConsistencyError, InputError
 from .gkm import (
     GkmEngine,
     fixed_point_restriction,
-    oracle_structure_constant,
     type_d_restriction,
 )
 from .pieri import (
@@ -63,7 +62,6 @@ __all__ = [
     "enumerate_symbols",
     "fixed_point_restriction",
     "leq",
-    "oracle_structure_constant",
     "pieri_bound",
     "pieri_coefficient",
     "pieri_expansion",

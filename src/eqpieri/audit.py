@@ -18,7 +18,7 @@ from .polyring import Polynomial
 from .restrict_a import schur_identity_check
 from .schubert import Space, Symbol, pieri_bound, special_class
 
-# the spaces of ``eqpieri verify --suite small`` and of the acceptance sweep
+# the spaces of ``eqpieri verify`` and of the acceptance sweep
 SMALL_SUITE = (Space("A", 2, 5), Space("C", 2, 3), Space("B", 2, 3), Space("D", 2, 4))
 
 

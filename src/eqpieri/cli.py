@@ -118,7 +118,6 @@ def build_parser() -> _Parser:
     p_oracle.add_argument("--json", action="store_true")
 
     p_verify = sub.add_parser("verify", help="rule-versus-oracle sweeps")
-    p_verify.add_argument("--suite", choices=("small",), default="small")
     p_verify.add_argument("--seed", type=int, default=0,
                           help="seed for the polynomial identity spot checks")
 
@@ -218,11 +217,11 @@ def _cmd_oracle(args) -> int:
     lam = validate_symbol(space, args.lam)
     mu = validate_symbol(space, args.mu)
     sigma = special_class(space, args.p, args.tilde)
+    nvars = space.torus_rank
     if args.p == 0:
-        nvars = space.torus_rank
         value = Polynomial.one(nvars) if lam == mu else Polynomial.zero(nvars)
     else:
-        value = GkmEngine(space).product_coefficient(lam, sigma, mu)
+        value = GkmEngine(space).product_expansion(lam, sigma).get(mu, Polynomial.zero(nvars))
     if args.json:
         _json_print({"coefficient": value.to_json_dict()})
     else:

@@ -13,12 +13,12 @@ signs).  Multiplication composes functions, and right multiplication by
 the simple reflection s_i edits positions, so descents are read off the
 one-line word.  A Schubert symbol maps to the minimal coset
 representative u_lam whose first m letters are the (signed) letters of
-the symbol; restrictions use the twisted representative w0 * u_lam, and
-the final substitution t_i -> w0(t_i) returns everything to the usual
-torus coordinates.  The class [X_mu]^T restricted to the fixed point nu
-is Billey's sum, over reduced subwords of a fixed reduced word of (the
-representative of) nu that multiply out to (the representative of) mu, of
-the products of the inversion roots met along the way.  One dynamic
+the symbol; restrictions use the twisted representative w0 * u_lam.  The
+class [X_mu]^T restricted to the fixed point nu is Billey's sum, over
+reduced subwords of a fixed reduced word of (the representative of) nu
+that multiply out to (the representative of) mu, of the products of the
+inversion roots met along the way, each root mapped by t_i -> w0(t_i) so
+that the products are in the usual torus coordinates.  One dynamic
 program evaluates it: it reads the word right to left and carries only
 products in W^P, the minimal coset representatives, since every right
 factor of a reduced word of an element of W^P is again in W^P.
@@ -32,7 +32,7 @@ residual at the other fixed points is not checked by the expansion.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .errors import ConsistencyError, InputError
 from .polyring import Polynomial
@@ -215,19 +215,6 @@ def minimal_representative(w: Element, p_inds, lie: str) -> Element:
     return w
 
 
-def weight_of_symbol(space: Space, sym) -> Tuple[int, ...]:
-    """Torus weight of the fixed point: sum of the weights of its lines."""
-    sym = validate_symbol(space, sym)
-    n, N = space.n, space.ambient
-    out = [0] * space.torus_rank
-    for c in sym:
-        if space.lie_type == "A" or c <= n:
-            out[c - 1] += 1
-        else:
-            out[N - c] -= 1
-    return tuple(out)
-
-
 def fixed_point_count(space: Space) -> int:
     """Orbit size of the base coordinate plane; independent of symbols."""
     if space.m == 0:
@@ -252,25 +239,18 @@ def fixed_point_count(space: Space) -> int:
 # -- restrictions -------------------------------------------------------------
 
 
-def _phi_images(w0: Element, nvars: int) -> List[Polynomial]:
-    images = []
-    for i in range(nvars):
-        coeffs = [0] * nvars
-        coeffs[abs(w0[i]) - 1] = 1 if w0[i] > 0 else -1
-        images.append(Polynomial.linear(coeffs))
-    return images
-
-
-def _word_with_roots(v: Element, lie: str, nvars: int):
-    """Reduced word of v together with the inversion root before each letter."""
+def _word_with_roots(v: Element, lie: str):
+    """Reduced word of v together with the inversion root before each letter,
+    mapped by t_i -> w0(t_i)."""
     word = reduced_word(v, lie)
     prefix = identity_element(len(v))
+    w0 = longest_element(lie, len(v))
     out = []
     for i in word:
         vec = act_on_vector(prefix, alpha_vector(lie, len(v), i))
         if not vector_positive(vec):
             raise ConsistencyError("prefix root of a reduced word must be positive")
-        out.append((i, Polynomial.linear(vec)))
+        out.append((i, Polynomial.linear(act_on_vector(w0, vec))))
         prefix = apply_simple(prefix, i, lie)
     return out
 
@@ -292,7 +272,7 @@ def _subword_sums(
     cap = element_length(target, lie) if target is not None else None
     sums = {one: Polynomial.one(rank)}
     states = {one: (0, one)}  # length and inverse of each product
-    for i, beta in reversed(_word_with_roots(v, lie, rank)):
+    for i, beta in reversed(_word_with_roots(v, lie)):
         additions: Dict[Element, Polynomial] = {}
         for x, val in sums.items():
             length, x_inv = states[x]
@@ -325,8 +305,7 @@ def fixed_point_restriction(space: Space, mu, nu) -> Polynomial:
     p_inds = parabolic_indices(space)
     w = minimal_representative(compose(w0, symbol_to_weyl(space, mu)), p_inds, lie)
     v = minimal_representative(compose(w0, symbol_to_weyl(space, nu)), p_inds, lie)
-    raw = _subword_sums(v, lie, p_inds, w).get(w, Polynomial.zero(nvars))
-    return raw.substitute(_phi_images(w0, nvars))
+    return _subword_sums(v, lie, p_inds, w).get(w, Polynomial.zero(nvars))
 
 
 def type_d_restriction(space: Space, nu, q: int) -> Polynomial:
@@ -380,10 +359,8 @@ class GkmEngine:
         self.w0 = longest_element(self.lie, self.nvars)
         self.p_inds = parabolic_indices(space)
         self.symbols = enumerate_symbols(space)
-        self._phi = _phi_images(self.w0, self.nvars)
         self._reps: Dict[Symbol, Element] = {}
         self._columns: Dict[Symbol, Dict[Element, Polynomial]] = {}
-        self._values: Dict[Tuple[Symbol, Symbol], Polynomial] = {}
 
     def representative(self, sym: Symbol) -> Element:
         if sym not in self._reps:
@@ -406,13 +383,7 @@ class GkmEngine:
         return self._restriction(validate_symbol(space, mu), validate_symbol(space, nu))
 
     def _restriction(self, mu: Symbol, nu: Symbol) -> Polynomial:
-        key = (mu, nu)
-        if key not in self._values:
-            raw = self._column(nu).get(
-                self.representative(mu), Polynomial.zero(self.nvars)
-            )
-            self._values[key] = raw.substitute(self._phi)
-        return self._values[key]
+        return self._column(nu).get(self.representative(mu), Polynomial.zero(self.nvars))
 
     def restriction_vector(self, mu) -> Dict[Symbol, Polynomial]:
         mu = validate_symbol(self.space, mu)
@@ -439,22 +410,11 @@ class GkmEngine:
             if val.is_zero:
                 out[s] = val
                 continue
-            c = val.try_divide(restriction(s, s))
-            if c is None:
-                raise ConsistencyError(
-                    f"inexact division in the expansion of "
-                    f"[{list(lam)}]*[{list(sigma)}] at {list(s)}"
-                )
+            c = val.divide_exact(
+                restriction(s, s),
+                f"the expansion of [{list(lam)}]*[{list(sigma)}] at {list(s)}",
+            )
             out[s] = c
             for s2 in candidates:
                 h[s2] = h[s2] - c * restriction(s, s2)
         return out
-
-    def product_coefficient(self, lam, sigma, mu) -> Polynomial:
-        mu = validate_symbol(self.space, mu)
-        expansion = self.product_expansion(lam, sigma)
-        return expansion.get(mu, Polynomial.zero(self.nvars))
-
-
-def oracle_structure_constant(space: Space, lam, sigma, mu) -> Polynomial:
-    return GkmEngine(space).product_coefficient(lam, sigma, mu)

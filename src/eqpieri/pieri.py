@@ -12,7 +12,8 @@ type A), by reducing to restriction coefficients of ordinary Grassmannians:
   of specialized restriction coefficients F(N^{nu_I}_{nu_I,p'}), where the
   specialization F folds the N ambient weights onto the n torus weights
   (t_j -> t_j for j <= n, t_j -> -t_{N+1-j} above the fold; type B also
-  kills the middle weight);
+  kills the middle weight).  F is a ring map, so it is applied to each
+  linear factor t_b - t_a before the factors are multiplied;
 * type B, high degree without bookkeeping columns: one even-dimensional
   restriction coefficient, specialized and halved exactly;
 * type D, high degree without bookkeeping columns: a restriction coefficient
@@ -72,10 +73,18 @@ def specialization_images(space: Space) -> List[Polynomial]:
 
 @dataclass(frozen=True)
 class PieriTerm:
-    """One unspecialized restriction coefficient feeding the final value."""
+    """One restriction coefficient N^nu_{nu,p} on a type A space feeding the
+    final value.  Its unspecialized polynomial, in the N ambient weights, is
+    built only when read: the rule folds each linear factor instead."""
 
     subset: Optional[Tuple[int, ...]]
-    unspecialized: Polynomial
+    inner_space: Space
+    nu: Symbol
+    p: int
+
+    @property
+    def unspecialized(self) -> Polynomial:
+        return restriction_coefficient(self.inner_space, self.nu, self.p)
 
     def to_json_dict(self) -> dict:
         return {
@@ -137,32 +146,31 @@ def compute_pieri(
     d = build(space, lam, mu, p, chat=chat, pivot=pivot)
     N = space.ambient
     if d.branch == "restriction":
-        inner_value = restriction_coefficient(Space("A", d.m_prime, N), d.nu, d.p_prime)
-        terms = [PieriTerm(None, inner_value)]
-        return PieriComputation(space, lam, mu, p, False, d, terms, inner_value)
+        inner_space = Space("A", d.m_prime, N)
+        value = restriction_coefficient(inner_space, d.nu, d.p_prime)
+        terms = [PieriTerm(None, inner_space, d.nu, d.p_prime)]
+        return PieriComputation(space, lam, mu, p, False, d, terms, value)
     if d.branch == "sum":
         images = specialization_images(space)
         inner_space = Space("A", d.m_prime, N)
         terms = [
-            PieriTerm(I, restriction_coefficient(inner_space, d.nu_I(I), d.p_prime))
-            for I in iter_subsets(d.sum_set)
+            PieriTerm(I, inner_space, d.nu_I(I), d.p_prime) for I in iter_subsets(d.sum_set)
         ]
         value = Polynomial.zero(space.n)
         for term in terms:
-            value = value + term.unspecialized.substitute(images)
+            value = value + restriction_coefficient(inner_space, term.nu, term.p, images)
         return PieriComputation(space, lam, mu, p, False, d, terms, value)
     if d.branch == "halving":
         inner_space = Space("A", d.m_prime + 1, N)
-        inner_value = restriction_coefficient(inner_space, d.nu_plus(), d.p_prime)
-        specialized = inner_value.substitute(specialization_images(space))
-        value = specialized.try_divide(Polynomial.constant(2, space.n))
-        if value is None:
-            raise ConsistencyError(
-                "the halving branch produced an odd polynomial for "
-                f"lambda={list(lam)}, mu={list(mu)}, p={p}"
-            )
-        terms = [PieriTerm(None, inner_value)]
-        return PieriComputation(space, lam, mu, p, False, d, terms, value)
+        term = PieriTerm(None, inner_space, d.nu_plus(), d.p_prime)
+        specialized = restriction_coefficient(
+            inner_space, term.nu, term.p, specialization_images(space)
+        )
+        value = specialized.divide_exact(
+            Polynomial.constant(2, space.n),
+            f"the halving branch for lambda={list(lam)}, mu={list(mu)}, p={p}",
+        )
+        return PieriComputation(space, lam, mu, p, False, d, [term], value)
     if d.branch == "orthogonal_restriction":
         inner_space = Space("D", d.m_prime, space.n)
         value = type_d_restriction(inner_space, d.nu, d.p_prime)

@@ -40,23 +40,6 @@ def _accumulate(terms: dict, exp: tuple, coeff: int):
         del terms[exp]
 
 
-def _signed_variables(images):
-    """Per image, (target index, negated) for +-1 times one variable and
-    None for zero; None for the whole list if some image is neither."""
-    out = []
-    for img in images:
-        if not img.terms:
-            out.append(None)
-            continue
-        if len(img.terms) != 1:
-            return None
-        ((exp, coeff),) = img.terms.items()
-        if coeff not in (1, -1) or sum(exp) != 1:
-            return None
-        out.append((exp.index(1), coeff < 0))
-    return out
-
-
 class Polynomial:
     """Immutable-by-convention sparse polynomial with int coefficients."""
 
@@ -221,30 +204,16 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, power: int):
-        if power < 0:
-            raise InputError("negative power")
-        result = Polynomial.one(self.nvars)
-        base = self
-        while power:
-            if power & 1:
-                result = result * base
-            base = base * base
-            power >>= 1
-        return result
-
     # -- substitution and evaluation ----------------------------------------
 
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Replace variable i by images[i] (all images in a common ring).
 
-        When every image is zero or a single variable with coefficient +1 or
-        -1 (the folding specialization, the type-D twist, the w0 relabelling)
-        each term is remapped directly: its exponents move to the image
-        variables, its sign flips for each negated variable met at an odd
-        exponent, and it vanishes if a zero image meets a positive exponent.
-        Any other images are expanded in general, multiplying each term by
-        cached powers of the images of its variables.
+        Each term is expanded as its coefficient times cached powers of the
+        images of its variables.  The rule and the oracle apply their signed
+        relabellings (the folding specialization, w0) to linear factors
+        before multiplying, so this serves the type-D twist and the
+        certificate's change of basis.
         """
         if len(images) != self.nvars:
             raise InputError(
@@ -256,22 +225,7 @@ class Polynomial:
         for img in images:
             if img.nvars != target:
                 raise InputError("images live in different rings")
-        signed = _signed_variables(images)
         result = {}
-        if signed is not None:
-            for exp, coeff in self.terms.items():
-                out = [0] * target
-                for e, image in zip(exp, signed):
-                    if e:
-                        if image is None:
-                            break
-                        j, negate = image
-                        out[j] += e
-                        if negate and e & 1:
-                            coeff = -coeff
-                else:
-                    _accumulate(result, tuple(out), coeff)
-            return Polynomial._of(target, result)
         # cache successive powers of each image
         powers = [[Polynomial.one(target)] for _ in range(self.nvars)]
         for exp, coeff in self.terms.items():

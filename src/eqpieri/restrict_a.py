@@ -82,29 +82,38 @@ def subword_terms(inst: RestrictionInstance):
         yield [(inst.b[c - 1], inst.a[c - i - 1]) for i, c in enumerate(cs)]
 
 
-def instance_value(inst: RestrictionInstance) -> Polynomial:
-    N = inst.N
-    total = Polynomial.zero(N)
+def instance_value(inst: RestrictionInstance, images: Sequence[Polynomial]) -> Polynomial:
+    """The subword sum with t_j replaced by images[j-1] in every factor."""
+    total = Polynomial.zero(images[0].nvars)
     for factors in subword_terms(inst):
-        term = Polynomial.one(N)
+        term = Polynomial.one(total.nvars)
         for bi, ai in factors:
-            term = term * (Polynomial.variable(bi, N) - Polynomial.variable(ai, N))
+            term = term * (images[bi - 1] - images[ai - 1])
         total = total + term
     return total
 
 
-def restriction_coefficient(space: Space, nu, p: int) -> Polynomial:
-    """N^nu_{nu,p} on Gr(m, N) as a polynomial in N torus parameters."""
+def restriction_coefficient(space: Space, nu, p: int, images=None) -> Polynomial:
+    """N^nu_{nu,p} on Gr(m, N) as a polynomial in N torus parameters.
+
+    With images, t_j is sent to images[j-1] in each linear factor before the
+    factors are multiplied, which is the same as substituting them into the
+    result; the value then lies in the images' ring.
+    """
     if space.lie_type != "A":
         raise InputError("restriction coefficients live on type A spaces")
     nu = validate_symbol(space, nu)
     N = space.n
+    if images is None:
+        images = [Polynomial.variable(j, N) for j in range(1, N + 1)]
+    elif len(images) != N:
+        raise InputError(f"need {N} images, got {len(images)}")
+    nvars = images[0].nvars
     if p < 0 or p > N - space.m:
-        return Polynomial.zero(N)
+        return Polynomial.zero(nvars)
     if p == 0:
-        return Polynomial.one(N)
-    inst = restriction_instance(space, nu, p)
-    return instance_value(inst)
+        return Polynomial.one(nvars)
+    return instance_value(restriction_instance(space, nu, p), images)
 
 
 def _elementary(indices: Sequence[int], k: int, nvars: int) -> Polynomial:

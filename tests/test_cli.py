@@ -109,7 +109,8 @@ def test_bad_flag_usage_exits_one(capsys):
     for argv in (["pieri", "--type", "E", *space, "--mu", "1,2", "--p", "1"],
                  ["pieri", "--type", "C", *space, "--mu", "1,2", "--p", "1",
                   "--threads", "2"],
-                 ["expand", "--type", "B", *space, "--p", "1", "--chat", "2"]):
+                 ["expand", "--type", "B", *space, "--p", "1", "--chat", "2"],
+                 ["verify", "--suite", "small"]):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 1, argv
@@ -272,7 +273,7 @@ verify: PASS
 
 def test_verify_small_suite_passes(capsys):
     for seed in ("0", "3"):
-        assert run_cli(capsys, "verify", "--suite", "small", "--seed", seed) == (
+        assert run_cli(capsys, "verify", "--seed", seed) == (
             0, VERIFY_PASS, "")
 
 

@@ -15,13 +15,11 @@ from eqpieri.gkm import (
     identity_element,
     longest_element,
     minimal_representative,
-    oracle_structure_constant,
     parabolic_indices,
     reduced_word,
     right_ascent,
     symbol_to_weyl,
     type_d_restriction,
-    weight_of_symbol,
 )
 from eqpieri.polyring import Polynomial
 from eqpieri.restrict_a import restriction_coefficient
@@ -247,7 +245,7 @@ def test_structure_constants_are_symmetric_in_the_factors():
 def test_diagonal_coefficient_is_the_special_class_restriction():
     s_1 = special_symbol(GR25, 1)[0]
     lam = (2, 5)
-    value = oracle_structure_constant(GR25, lam, s_1, lam)
+    value = GkmEngine(GR25).product_expansion(lam, s_1)[lam]
     assert value == fixed_point_restriction(GR25, s_1, lam)
 
 
@@ -275,13 +273,6 @@ def test_maximal_even_orthogonal_corner_parity():
     # q >= 1 restricts the incidence class of nu's own family
     assert type_d_restriction(maximal, (2, 3, 4, 8), 1) == -t(2, 4) - t(3, 4)
     assert type_d_restriction(maximal, (5, 6, 7, 8), 2) == off
-
-
-def test_weights_of_symbols():
-    assert tuple(weight_of_symbol(OG28, (2, 8))) == (-1, 1, 0, 0)
-    assert tuple(weight_of_symbol(OG28, (4, 8))) == (-1, 0, 0, 1)
-    assert tuple(weight_of_symbol(SG26, (3, 6))) == (-1, 0, 1)
-    assert tuple(weight_of_symbol(GR25, (2, 5))) == (0, 1, 0, 0, 1)
 
 
 def test_reduced_words_multiply_back():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from eqpieri.errors import InputError
+from eqpieri.pieri import specialization_images
 from eqpieri.polyring import Polynomial
 from eqpieri.restrict_a import (
     instance_value,
@@ -19,6 +20,10 @@ from eqpieri.schubert import Space, enumerate_symbols, leq, special_symbol
 
 def t(i, n):
     return Polynomial.variable(i, n)
+
+
+def variables(n):
+    return [t(i, n) for i in range(1, n + 1)]
 
 
 def test_frozen_values_on_gr68():
@@ -48,7 +53,7 @@ def test_instance_shape():
     inst = restriction_instance(Space("A", 2, 6), (2, 3), 2)
     assert inst.I1 == (1, 2, 3) and inst.I2 == (4, 5, 6)
     assert inst.a == (2, 3) and inst.b == (4, 5, 6) and inst.r == 2
-    value = instance_value(inst)
+    value = instance_value(inst, variables(inst.N))
     assert len(value.terms) > 0 and value.is_homogeneous() and value.degree() == 2
     with pytest.raises(InputError):
         restriction_instance(Space("C", 2, 3), (2, 3), 2)
@@ -66,6 +71,23 @@ def test_edge_cases():
     empty = Space("A", 0, 5)
     assert restriction_coefficient(empty, (), 0) == Polynomial.one(5)
     assert restriction_coefficient(empty, (), 2).is_zero
+
+
+def test_images_on_the_factors_equal_substitution_into_the_value():
+    # a signed relabelling is a ring map: applying it to each linear factor
+    # before the product gives the substituted coefficient, in every edge case
+    for N, folds in ((8, (Space("C", 1, 4), Space("D", 1, 4))), (9, (Space("B", 1, 4),))):
+        for fold in folds:
+            images = specialization_images(fold)  # type B sends t_5 to zero
+            for m in range(1, 4):
+                space = Space("A", m, N)
+                for nu in enumerate_symbols(space):
+                    for p in range(-1, N - m + 2):
+                        folded = restriction_coefficient(space, nu, p, images)
+                        assert folded.nvars == fold.n
+                        assert folded == restriction_coefficient(space, nu, p).substitute(images)
+    with pytest.raises(InputError, match="need 8 images"):
+        restriction_coefficient(Space("A", 2, 8), (1, 2), 1, images)  # nine, from OG(.,9)
 
 
 def test_support_matches_order_with_special_symbol():
@@ -125,7 +147,7 @@ def test_matches_fixed_point_integration_numerically():
                 if i != j:
                     den *= point[i - 1] - point[j - 1]
             lhs += num / den
-        assert lhs == instance_value(inst).evaluate(point)
+        assert lhs == instance_value(inst, variables(inst.N)).evaluate(point)
 
 
 def test_schur_identity_random():

@@ -110,8 +110,6 @@ ENTRY_POINTS = {
     "GkmEngine.restriction_vector": lambda s: GkmEngine(OG28).restriction_vector(s),
     "GkmEngine.product_expansion lambda": lambda s: GkmEngine(OG28).product_expansion(s, GOOD),
     "GkmEngine.product_expansion sigma": lambda s: GkmEngine(OG28).product_expansion(GOOD, s),
-    "GkmEngine.product_coefficient mu": (
-        lambda s: GkmEngine(OG28).product_coefficient(GOOD, GOOD, s)),
     "codim": lambda s: codim(OG28, s),
     "leq mu": lambda s: leq(OG28, s, GOOD),
     "leq lambda": lambda s: leq(OG28, GOOD, s),
