@@ -128,9 +128,25 @@ def vector_positive(vec) -> bool:
     return False
 
 
+def _precedes(a: int, b: int) -> bool:
+    """a < b in the order 1 < ... < n < -n < ... < -1 of signed letters."""
+    return a < b if (a > 0) == (b > 0) else b < 0
+
+
 def right_ascent(w: Element, i: int, lie: str) -> bool:
-    """Whether length(w s_i) > length(w)."""
-    return vector_positive(act_on_vector(w, alpha_vector(lie, len(w), i)))
+    """Whether length(w s_i) > length(w), that is w(alpha_i) > 0.
+
+    For alpha_i = e_i - e_(i+1) that is w[i-1] preceding w[i]; for e_n or
+    2e_n, w[n-1] > 0; for e_(n-1) + e_n, w[n-2] preceding -w[n-1].
+    """
+    rank = len(w)
+    if 1 <= i < rank:
+        return _precedes(w[i - 1], w[i])
+    if i != rank or lie == "A":
+        raise InputError(f"no simple root {i} in type {lie} rank {rank}")
+    if lie in ("B", "C"):
+        return w[rank - 1] > 0
+    return _precedes(w[rank - 2], -w[rank - 1])  # D
 
 
 def reduced_word(w: Element, lie: str) -> Tuple[int, ...]:

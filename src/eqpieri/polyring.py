@@ -6,6 +6,8 @@ arithmetic; nothing here ever touches floats.  Variables are positional and
 1-based in printed output: the equivariant parameters of an ambient torus.
 Callers choose the display prefix ("t" for torus parameters of the symplectic
 or orthogonal group, "s" for the larger general-linear torus upstairs).
+Substitution is Horner's scheme in the variables: terms are grouped by the
+exponent of one variable at a time, so each step multiplies by one image.
 
 Term order everywhere (iteration, serialization, printing) is graded
 lexicographic with the largest term first, so output is deterministic.
@@ -21,6 +23,7 @@ check divisibility instead of leaving the integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
 from typing import Mapping, Optional, Sequence
 
 from .errors import ConsistencyError, InputError
@@ -29,15 +32,6 @@ from .errors import ConsistencyError, InputError
 def _term_key(exp):
     # graded lex: compare total degree first, then the exponent vector
     return (sum(exp), exp)
-
-
-def _accumulate(terms: dict, exp: tuple, coeff: int):
-    """Add coeff to terms[exp], dropping the key when the sum cancels."""
-    new = terms.get(exp, 0) + coeff
-    if new:
-        terms[exp] = new
-    else:
-        del terms[exp]
 
 
 class Polynomial:
@@ -192,9 +186,10 @@ class Polynomial:
             return NotImplemented
         self._require_same_ring(other)
         terms = {}
+        items = list(other.terms.items())
         for exp1, c1 in self.terms.items():
-            for exp2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(exp1, exp2))
+            for exp2, c2 in items:
+                exp = tuple(map(add, exp1, exp2))
                 new = terms.get(exp, 0) + c1 * c2
                 if new:
                     terms[exp] = new
@@ -209,11 +204,11 @@ class Polynomial:
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Replace variable i by images[i] (all images in a common ring).
 
-        Each term is expanded as its coefficient times cached powers of the
-        images of its variables.  The rule and the oracle apply their signed
-        relabellings (the folding specialization, w0) to linear factors
-        before multiplying, so this serves the type-D twist and the
-        certificate's change of basis.
+        Horner's scheme: the terms are grouped by the exponent of variable
+        i, each group is substituted in the later variables, and the groups
+        are folded from the top exponent down as acc = acc * images[i] +
+        group, so each step multiplies by one image, never by its powers.
+        Serves the type-D family twist and the certificate's change of basis.
         """
         if len(images) != self.nvars:
             raise InputError(
@@ -225,19 +220,22 @@ class Polynomial:
         for img in images:
             if img.nvars != target:
                 raise InputError("images live in different rings")
-        result = {}
-        # cache successive powers of each image
-        powers = [[Polynomial.one(target)] for _ in range(self.nvars)]
-        for exp, coeff in self.terms.items():
-            term = Polynomial.constant(coeff, target)
-            for i, e in enumerate(exp):
-                if e:
-                    while len(powers[i]) <= e:
-                        powers[i].append(powers[i][-1] * images[i])
-                    term = term * powers[i][e]
-            for key, c in term.terms.items():
-                _accumulate(result, key, c)
-        return Polynomial._of(target, result)
+
+        def fold(items, i):
+            # items share their exponents before i, so at the end one is left
+            if i == self.nvars:
+                return Polynomial.constant(items[0][1], target)
+            groups = {}
+            for item in items:
+                groups.setdefault(item[0][i], []).append(item)
+            acc = Polynomial.zero(target)
+            for k in range(max(groups, default=0), -1, -1):
+                acc = acc * images[i]
+                if k in groups:
+                    acc = acc + fold(groups[k], i + 1)
+            return acc
+
+        return fold(list(self.terms.items()), 0)
 
     def evaluate(self, values: Sequence):
         """Evaluate at a point (ints or Fractions); exact."""
@@ -275,14 +273,14 @@ class Polynomial:
             coeff = rem[lead]
             if coeff % dcoeff != 0:
                 return None
-            exp = tuple(a - b for a, b in zip(lead, dlead))
+            exp = tuple(map(sub, lead, dlead))
             if any(e < 0 for e in exp):
                 return None
             qc = coeff // dcoeff
             # leading terms strictly decrease, so each exp is met once
             quotient[exp] = qc
             for dexp, dc in divisor.terms.items():
-                e = tuple(a + b for a, b in zip(exp, dexp))
+                e = tuple(map(add, exp, dexp))
                 new = rem.get(e, 0) - qc * dc
                 if new:
                     rem[e] = new
@@ -513,7 +511,7 @@ def root_positivity_certificate(p: Polynomial, basis: RootBasis) -> PositivityCe
         raise InputError("positivity certificates require homogeneous input")
     degree = p.degree()
     scale = basis.denominator_scale**degree
-    scaled = p.substitute(basis.scaled_t_images())
+    scaled = p.substitute(basis.scaled_t_images()).sorted_terms()
     names = basis.basis_var_names()
 
     def monomial_name(exp):
@@ -521,14 +519,14 @@ def root_positivity_certificate(p: Polynomial, basis: RootBasis) -> PositivityCe
 
     if basis.lie_type == "A":
         w_index = basis.num_basis_vars - 1
-        for exp, coeff in scaled.sorted_terms():
+        for exp, coeff in scaled:
             if exp[w_index] > 0:
                 return PositivityCertificate(
                     False, basis.lie_type, basis.n, degree, scale, None,
                     f"term {monomial_name(exp)} lies outside the root span",
                 )
     terms = {}
-    for exp, coeff in scaled.sorted_terms():
+    for exp, coeff in scaled:
         if coeff < 0:
             return PositivityCertificate(
                 False, basis.lie_type, basis.n, degree, scale, None,
@@ -541,7 +539,7 @@ def root_positivity_certificate(p: Polynomial, basis: RootBasis) -> PositivityCe
                 f"not divisible by {scale}",
             )
         terms[exp] = coeff // scale
-    expansion = Polynomial(basis.num_basis_vars, terms)
+    expansion = Polynomial._of(basis.num_basis_vars, terms)
     return PositivityCertificate(
         True, basis.lie_type, basis.n, degree, scale, expansion, None
     )

@@ -1,5 +1,7 @@
 """Localization engine: fixed-point restrictions and structure constants."""
 
+import itertools
+
 import pytest
 
 from eqpieri.errors import ConsistencyError, InputError
@@ -18,8 +20,10 @@ from eqpieri.gkm import (
     parabolic_indices,
     reduced_word,
     right_ascent,
+    simple_indices,
     symbol_to_weyl,
     type_d_restriction,
+    vector_positive,
 )
 from eqpieri.polyring import Polynomial
 from eqpieri.restrict_a import restriction_coefficient
@@ -284,6 +288,21 @@ def test_reduced_words_multiply_back():
         for i in reduced_word(w0, lie):
             w = apply_simple(w, i, lie)
         assert w == w0
+
+
+@pytest.mark.parametrize("lie", "ABCD")
+def test_right_ascent_equals_the_sign_of_the_moved_root(lie):
+    # reference: w s_i is longer exactly when w(alpha_i) is a positive root
+    for rank in range(2, 6):
+        signs = [(1,) * rank] if lie == "A" else list(itertools.product((1, -1), repeat=rank))
+        for perm in itertools.permutations(range(1, rank + 1)):
+            for sign in signs:
+                w = tuple(s * x for s, x in zip(sign, perm))
+                for i in simple_indices(lie, rank):
+                    root = act_on_vector(w, alpha_vector(lie, rank, i))
+                    assert right_ascent(w, i, lie) == vector_positive(root), (w, i)
+    with pytest.raises(InputError):
+        right_ascent((2, 1, 3), 3, "A")
 
 
 def test_reduced_word_rejects_a_non_permutation():

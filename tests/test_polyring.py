@@ -3,14 +3,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqpieri.errors import ConsistencyError, InputError
+from eqpieri.pieri import pieri_coefficient, positivity_certificate
 from eqpieri.polyring import (
     Polynomial,
     PositivityCertificate,
     RootBasis,
     root_positivity_certificate,
 )
+from eqpieri.schubert import Space
 
 
 def t(i, nvars):
@@ -109,6 +113,38 @@ def expand_by_products(p, images):
                 term = term * image
         result = result + term
     return result
+
+
+@st.composite
+def homogeneous_and_root_images(draw):
+    """A homogeneous polynomial of degree <= 9 in the n = 1..6 variables of a
+    root basis of type A-D, with that basis's scaled t images."""
+    lie = draw(st.sampled_from("ABCD"))
+    n = draw(st.integers(2 if lie == "D" else 1, 6))
+    degree = draw(st.integers(0, 9))
+    monomial = st.lists(st.integers(0, n - 1), min_size=degree, max_size=degree)
+    terms = {}
+    for factors, coeff in draw(st.lists(st.tuples(monomial, st.integers(-9, 9)), max_size=5)):
+        terms[tuple(factors.count(i) for i in range(n))] = coeff
+    return Polynomial(n, terms), RootBasis(lie, n).scaled_t_images()
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(homogeneous_and_root_images())
+def test_substitute_equals_products_over_root_images(case):
+    p, images = case
+    assert p.substitute(images) == expand_by_products(p, images)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_substitute_equals_products_over_nonlinear_images(seed):
+    rng = random.Random(seed)
+    p = random_poly(rng, rng.randint(1, 4))
+    target = rng.randint(1, 3)
+    images = [random_poly(rng, target, max_terms=3, max_exp=2) for _ in range(p.nvars)]
+    assert p.substitute(images) == expand_by_products(p, images)
+    assert Polynomial.zero(p.nvars).substitute(images) == Polynomial.zero(target)
 
 
 def test_degree_and_homogeneity():
@@ -237,6 +273,28 @@ def test_certificate_type_d():
     # t2 - t1 is the negated simple root v1; its negative is not positive
     assert root_positivity_certificate(t(2, 2) - t(1, 2), basis).ok
     assert not root_positivity_certificate(t(1, 2) - t(2, 2), basis).ok
+
+
+def test_certificate_multiplies_few_term_pairs(monkeypatch):
+    # N^{123}_{123,8} on SG(3,12): 88 terms of degree 8.  Horner's scheme
+    # multiplies 18,975 term pairs; powers of the images expanded term by
+    # term would multiply 238,811.
+    space = Space("C", 3, 6)
+    p = pieri_coefficient(space, (1, 2, 3), (1, 2, 3), 8)
+    assert len(p.terms) == 88 and p.degree() == 8
+    pairs = [0]
+    product = Polynomial.__mul__
+
+    def counting(a, b):
+        if isinstance(b, Polynomial):
+            pairs[0] += len(a.terms) * len(b.terms)
+        return product(a, b)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    cert = positivity_certificate(space, p)
+    assert cert.ok and pairs[0] <= 25_000
+    monkeypatch.undo()
+    assert_round_trip(cert, RootBasis("C", space.torus_rank), p)
 
 
 def test_certificate_edge_cases():
