@@ -1,16 +1,21 @@
 """Exact sparse polynomials over the integers, plus positivity certificates.
 
-A polynomial is stored as a dict mapping exponent vectors (tuples of length
-``nvars``) to nonzero integer coefficients.  All arithmetic is exact integer
-arithmetic; nothing here ever touches floats.  Variables are positional and
+A polynomial is a dict mapping packed monomial keys to nonzero integer
+coefficients; arithmetic is exact, never floats.  A key is one int of 16-bit
+fields (``_WIDTH``): the total degree in the top field, then the exponents of
+x_1, x_2, ... in turn.  So int order is graded lex, a product of monomials
+is one int addition, and the leading term is ``max`` of the keys.  Output
+lists terms in that order, largest first, so it is deterministic.  The top
+bit of each field is a guard, never set in a stored key: a total degree above
+``_LIMIT`` (32767) is refused, on input and in ``__mul__``, before it could
+carry into the next field; division subtracts keys with every guard set, and
+a field whose exponent would go negative clears its guard.  ``terms`` is the same
+mapping keyed by exponent tuples, built on read.  Variables are positional and
 1-based in printed output: the equivariant parameters of an ambient torus.
 Callers choose the display prefix ("t" for torus parameters of the symplectic
 or orthogonal group, "s" for the larger general-linear torus upstairs).
 Substitution is Horner's scheme in the variables: terms are grouped by the
 exponent of one variable at a time, so each step multiplies by one image.
-
-Term order everywhere (iteration, serialization, printing) is graded
-lexicographic with the largest term first, so output is deterministic.
 
 The second half of the module certifies Graham positivity: a class is
 expanded in the basis of negated simple roots v_i = -alpha_i and accepted
@@ -23,21 +28,37 @@ check divisibility instead of leaving the integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, sub
 from typing import Mapping, Optional, Sequence
 
 from .errors import ConsistencyError, InputError
 
 
-def _term_key(exp):
-    # graded lex: compare total degree first, then the exponent vector
-    return (sum(exp), exp)
+_WIDTH = 16
+_MASK = (1 << _WIDTH) - 1
+_GUARD = 1 << (_WIDTH - 1)
+_LIMIT = _GUARD - 1  # the largest total degree a key holds
+
+
+def _pack(exp) -> int:
+    key = sum(exp)
+    for e in exp:
+        key = (key << _WIDTH) | e
+    return key
+
+
+def _unpack(key: int, nvars: int) -> tuple:
+    return tuple((key >> _WIDTH * s) & _MASK for s in range(nvars - 1, -1, -1))
+
+
+def _unit(i: int, nvars: int) -> int:
+    """The key of the variable with 0-based position i."""
+    return (1 << _WIDTH * nvars) | (1 << _WIDTH * (nvars - 1 - i))
 
 
 class Polynomial:
     """Immutable-by-convention sparse polynomial with int coefficients."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "_terms")
 
     def __init__(self, nvars: int, terms: Optional[Mapping[tuple, int]] = None):
         if nvars < 0:
@@ -55,18 +76,20 @@ class Polynomial:
                     )
                 if any(e < 0 for e in exp):
                     raise InputError(f"negative exponent in {exp}")
-                clean[exp] = coeff
+                if sum(exp) > _LIMIT:
+                    raise InputError(f"degree of {exp} exceeds {_LIMIT}")
+                clean[_pack(exp)] = coeff
         self.nvars = nvars
-        self.terms = clean
+        self._terms = clean
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def _of(cls, nvars: int, terms: dict) -> "Polynomial":
-        """Wrap a term dict built here: nonzero ints on valid exponent tuples."""
+        """Wrap a term dict built here: nonzero ints on valid packed keys."""
         out = cls.__new__(cls)
         out.nvars = nvars
-        out.terms = terms
+        out._terms = terms
         return out
 
     @classmethod
@@ -77,7 +100,7 @@ class Polynomial:
     def constant(cls, value: int, nvars: int) -> "Polynomial":
         if nvars < 0:
             raise InputError("nvars must be nonnegative")
-        return cls._of(nvars, {(0,) * nvars: value} if value else {})
+        return cls._of(nvars, {0: value} if value else {})
 
     @classmethod
     def one(cls, nvars: int) -> "Polynomial":
@@ -88,56 +111,54 @@ class Polynomial:
         """The variable with 1-based position ``index``."""
         if not 1 <= index <= nvars:
             raise InputError(f"variable index {index} out of range 1..{nvars}")
-        exp = tuple(1 if i == index - 1 else 0 for i in range(nvars))
-        return cls._of(nvars, {exp: 1})
+        return cls._of(nvars, {_unit(index - 1, nvars): 1})
 
     @classmethod
     def linear(cls, coeffs: Sequence[int]) -> "Polynomial":
         """sum(coeffs[i] * x_{i+1})."""
         nvars = len(coeffs)
-        terms = {}
-        for i, c in enumerate(coeffs):
-            if c:
-                exp = tuple(1 if j == i else 0 for j in range(nvars))
-                terms[exp] = c
-        return cls._of(nvars, terms)
+        return cls._of(nvars, {_unit(i, nvars): c for i, c in enumerate(coeffs) if c})
 
     # -- basic structure ---------------------------------------------------
 
     @property
+    def terms(self) -> dict:
+        """The terms keyed by exponent tuples, built on each read."""
+        return {_unpack(key, self.nvars): c for key, c in self._terms.items()}
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(exp) for exp in self.terms)
+        # the top field of the largest key, and -1 >> k is -1
+        return max(self._terms, default=-1) >> _WIDTH * self.nvars
 
     def is_homogeneous(self) -> bool:
-        degrees = {sum(exp) for exp in self.terms}
-        return len(degrees) <= 1
+        top = _WIDTH * self.nvars
+        return len({key >> top for key in self._terms}) <= 1
 
     def constant_term(self) -> int:
-        return self.terms.get((0,) * self.nvars, 0)
+        return self._terms.get(0, 0)
 
     def sorted_terms(self):
         """Terms as (exp, coeff) pairs, leading term first."""
         return [
-            (exp, self.terms[exp])
-            for exp in sorted(self.terms, key=_term_key, reverse=True)
+            (_unpack(key, self.nvars), self._terms[key])
+            for key in sorted(self._terms, reverse=True)
         ]
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return self.nvars == other.nvars and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, frozenset(self._terms.items())))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._terms)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -153,19 +174,19 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_ring(other)
-        terms = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            new = terms.get(exp, 0) + coeff
+        terms = dict(self._terms)
+        for key, coeff in other._terms.items():
+            new = terms.get(key, 0) + coeff
             if new:
-                terms[exp] = new
+                terms[key] = new
             else:
-                terms.pop(exp, None)
+                terms.pop(key, None)
         return Polynomial._of(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._of(self.nvars, {exp: -c for exp, c in self.terms.items()})
+        return Polynomial._of(self.nvars, {key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -181,20 +202,22 @@ class Polynomial:
         if isinstance(other, int):
             if other == 0:
                 return Polynomial.zero(self.nvars)
-            return Polynomial._of(self.nvars, {exp: c * other for exp, c in self.terms.items()})
+            return Polynomial._of(self.nvars, {key: c * other for key, c in self._terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_ring(other)
+        if self.degree() + other.degree() > _LIMIT:
+            raise InputError(f"product degree exceeds {_LIMIT}")
         terms = {}
-        items = list(other.terms.items())
-        for exp1, c1 in self.terms.items():
-            for exp2, c2 in items:
-                exp = tuple(map(add, exp1, exp2))
-                new = terms.get(exp, 0) + c1 * c2
+        items = list(other._terms.items())
+        for key1, c1 in self._terms.items():
+            for key2, c2 in items:
+                key = key1 + key2
+                new = terms.get(key, 0) + c1 * c2
                 if new:
-                    terms[exp] = new
+                    terms[key] = new
                 else:
-                    del terms[exp]
+                    del terms[key]
         return Polynomial._of(self.nvars, terms)
 
     __rmul__ = __mul__
@@ -225,9 +248,10 @@ class Polynomial:
             # items share their exponents before i, so at the end one is left
             if i == self.nvars:
                 return Polynomial.constant(items[0][1], target)
+            shift = _WIDTH * (self.nvars - 1 - i)
             groups = {}
             for item in items:
-                groups.setdefault(item[0][i], []).append(item)
+                groups.setdefault((item[0] >> shift) & _MASK, []).append(item)
             acc = Polynomial.zero(target)
             for k in range(max(groups, default=0), -1, -1):
                 acc = acc * images[i]
@@ -235,7 +259,7 @@ class Polynomial:
                     acc = acc + fold(groups[k], i + 1)
             return acc
 
-        return fold(list(self.terms.items()), 0)
+        return fold(list(self._terms.items()), 0)
 
     def evaluate(self, values: Sequence):
         """Evaluate at a point (ints or Fractions); exact."""
@@ -258,34 +282,38 @@ class Polynomial:
         Single-divisor monomial division, leading terms in graded lex order.
         Each step cancels the current leading term, which strictly decreases,
         so the loop terminates; a zero remainder reconstructs self exactly.
+        The quotient monomial is lead - dlead, taken with every guard bit set:
+        a field whose exponent would go negative borrows its guard bit.
         """
         self._require_same_ring(divisor)
         if divisor.is_zero:
             raise InputError("division by zero polynomial")
         if self.is_zero:
             return Polynomial.zero(self.nvars)
-        dlead = max(divisor.terms, key=_term_key)
-        dcoeff = divisor.terms[dlead]
-        rem = dict(self.terms)
+        dlead = max(divisor._terms)
+        dcoeff = divisor._terms[dlead]
+        guard = ((1 << _WIDTH * (self.nvars + 1)) - 1) // _MASK * _GUARD
+        rem = dict(self._terms)
         quotient = {}
         while rem:
-            lead = max(rem, key=_term_key)
+            lead = max(rem)
             coeff = rem[lead]
             if coeff % dcoeff != 0:
                 return None
-            exp = tuple(map(sub, lead, dlead))
-            if any(e < 0 for e in exp):
+            key = (lead | guard) - dlead
+            if key & guard != guard:
                 return None
+            key ^= guard
             qc = coeff // dcoeff
-            # leading terms strictly decrease, so each exp is met once
-            quotient[exp] = qc
-            for dexp, dc in divisor.terms.items():
-                e = tuple(map(add, exp, dexp))
-                new = rem.get(e, 0) - qc * dc
+            # leading terms strictly decrease, so each key is met once
+            quotient[key] = qc
+            for dkey, dc in divisor._terms.items():
+                k = key + dkey
+                new = rem.get(k, 0) - qc * dc
                 if new:
-                    rem[e] = new
+                    rem[k] = new
                 else:
-                    rem.pop(e, None)
+                    rem.pop(k, None)
         return Polynomial._of(self.nvars, quotient)
 
     def divide_exact(self, divisor: "Polynomial", context: str = "") -> "Polynomial":
@@ -307,18 +335,9 @@ class Polynomial:
             ],
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Polynomial":
-        try:
-            nvars = data["nvars"]
-            terms = {tuple(t["exp"]): t["coeff"] for t in data["terms"]}
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed polynomial JSON: {exc}") from exc
-        return cls(nvars, terms)
-
     def render(self, prefix: str = "t", names: Optional[Sequence[str]] = None) -> str:
         """Human-readable form, e.g. ``t2*t5 - t1*t2 - t1*t5 + t1^2``."""
-        if not self.terms:
+        if not self._terms:
             return "0"
         if names is not None and len(names) != self.nvars:
             raise InputError("wrong number of variable names")
@@ -511,34 +530,34 @@ def root_positivity_certificate(p: Polynomial, basis: RootBasis) -> PositivityCe
         raise InputError("positivity certificates require homogeneous input")
     degree = p.degree()
     scale = basis.denominator_scale**degree
-    scaled = p.substitute(basis.scaled_t_images()).sorted_terms()
+    scaled = sorted(p.substitute(basis.scaled_t_images())._terms.items(), reverse=True)
     names = basis.basis_var_names()
 
-    def monomial_name(exp):
-        return Polynomial(len(exp), {exp: 1}).render(names=names)
+    def monomial_name(key):
+        return Polynomial._of(basis.num_basis_vars, {key: 1}).render(names=names)
 
     if basis.lie_type == "A":
-        w_index = basis.num_basis_vars - 1
-        for exp, coeff in scaled:
-            if exp[w_index] > 0:
+        # the slack variable w is the last one, in the lowest field
+        for key, coeff in scaled:
+            if key & _MASK:
                 return PositivityCertificate(
                     False, basis.lie_type, basis.n, degree, scale, None,
-                    f"term {monomial_name(exp)} lies outside the root span",
+                    f"term {monomial_name(key)} lies outside the root span",
                 )
     terms = {}
-    for exp, coeff in scaled:
+    for key, coeff in scaled:
         if coeff < 0:
             return PositivityCertificate(
                 False, basis.lie_type, basis.n, degree, scale, None,
-                f"negative coefficient {coeff} on {monomial_name(exp)}",
+                f"negative coefficient {coeff} on {monomial_name(key)}",
             )
         if coeff % scale != 0:
             return PositivityCertificate(
                 False, basis.lie_type, basis.n, degree, scale, None,
-                f"coefficient {coeff} on {monomial_name(exp)} "
+                f"coefficient {coeff} on {monomial_name(key)} "
                 f"not divisible by {scale}",
             )
-        terms[exp] = coeff // scale
+        terms[key] = coeff // scale
     expansion = Polynomial._of(basis.num_basis_vars, terms)
     return PositivityCertificate(
         True, basis.lie_type, basis.n, degree, scale, expansion, None

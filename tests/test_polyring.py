@@ -1,6 +1,7 @@
 """Exactness, ring laws, division, serialization, and positivity certificates."""
 
 import random
+from operator import add, sub
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from eqpieri.errors import ConsistencyError, InputError
 from eqpieri.pieri import pieri_coefficient, positivity_certificate
 from eqpieri.polyring import (
+    _LIMIT,
     Polynomial,
     PositivityCertificate,
     RootBasis,
@@ -196,16 +198,156 @@ def test_random_products_divide_back():
         assert (a * b).try_divide(a) == b
 
 
-def test_json_round_trip_and_term_order():
+def test_json_term_order():
     p = t(1, 2) * t(1, 2) * t(1, 2) - 2 * t(2, 2) + 5
     data = p.to_json_dict()
     assert data["nvars"] == 2
     # leading (highest graded-lex) term first
     assert data["terms"][0] == {"coeff": 1, "exp": [3, 0]}
     assert data["terms"][-1] == {"coeff": 5, "exp": [0, 0]}
-    assert Polynomial.from_json_dict(data) == p
+
+
+def test_exponent_beyond_the_field_limit_raises_at_construction():
+    assert Polynomial(2, {(_LIMIT, 0): 1}).degree() == _LIMIT
     with pytest.raises(InputError):
-        Polynomial.from_json_dict({"nvars": 2})
+        Polynomial(2, {(_LIMIT + 1, 0): 1})
+    # each exponent fits its field, but the total degree does not
+    with pytest.raises(InputError):
+        Polynomial(2, {(_LIMIT, 1): 1})
+
+
+def test_product_degree_past_the_field_limit_raises():
+    below = Polynomial(2, {(_LIMIT - 1, 0): 1})
+    assert (below * t(1, 2)).terms == {(_LIMIT, 0): 1}
+    assert (below * t(2, 2)).terms == {(_LIMIT - 1, 1): 1}
+    top = Polynomial(2, {(0, _LIMIT): 1})
+    assert top * 3 == Polynomial(2, {(0, _LIMIT): 3})
+    assert top * Polynomial.one(2) == top
+    with pytest.raises(InputError):
+        top * t(2, 2)
+    with pytest.raises(InputError):
+        below * (t(1, 2) * t(2, 2) + 1)
+
+
+def test_try_divide_refuses_a_negative_quotient_exponent():
+    x, y, z = t(1, 3), t(2, 3), t(3, 3)
+    # same total degree, so only a per-variable field goes negative
+    assert (x * x * y).try_divide(x * y * y) is None
+    assert x.try_divide(y) is None
+    assert (x * z * z).try_divide(y * z) is None
+    assert (x * x * y).try_divide(x * y) == x
+    assert (y * z).try_divide(x * y * z) is None
+
+
+# -- the packed core against a tuple-keyed reference -----------------------------
+
+
+def _ref_key(exp):
+    return (sum(exp), exp)
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for exp, coeff in b.items():
+        new = out.get(exp, 0) + coeff
+        if new:
+            out[exp] = new
+        else:
+            out.pop(exp, None)
+    return out
+
+
+def ref_mul(a, b):
+    out = {}
+    for exp1, c1 in a.items():
+        for exp2, c2 in b.items():
+            out = ref_add(out, {tuple(map(add, exp1, exp2)): c1 * c2})
+    return out
+
+
+def ref_divide(a, d):
+    dlead = max(d, key=_ref_key)
+    rem, quotient = dict(a), {}
+    while rem:
+        lead = max(rem, key=_ref_key)
+        exp = tuple(map(sub, lead, dlead))
+        if rem[lead] % d[dlead] or min(exp, default=0) < 0:
+            return None
+        qc = rem[lead] // d[dlead]
+        quotient[exp] = qc
+        rem = ref_add(rem, ref_mul({exp: -qc}, d))
+    return quotient
+
+
+def ref_substitute(a, images, target):
+    if not images:
+        return a
+    out = {}
+    for exp, coeff in a.items():
+        term = {(0,) * target: coeff}
+        for image, e in zip(images, exp):
+            for _ in range(e):
+                term = ref_mul(term, image)
+        out = ref_add(out, term)
+    return out
+
+
+def ref_sorted(a):
+    return [(exp, a[exp]) for exp in sorted(a, key=_ref_key, reverse=True)]
+
+
+def ref_render(a):
+    parts = []
+    for exp, coeff in ref_sorted(a):
+        mono = "*".join(f"t{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(exp) if e)
+        body = mono if mono and abs(coeff) == 1 else "*".join(filter(None, [str(abs(coeff)), mono]))
+        sign = ("" if coeff > 0 else "-") if not parts else ("+ " if coeff > 0 else "- ")
+        parts.append(sign + body)
+    return " ".join(parts) or "0"
+
+
+def term_dicts(nvars, max_exp, max_terms):
+    exp = st.tuples(*[st.integers(0, max_exp)] * nvars)
+    return st.dictionaries(exp, st.integers(-9, 9).filter(bool), max_size=max_terms)
+
+
+@st.composite
+def packed_cases(draw):
+    nvars = draw(st.integers(0, 9))
+    target = draw(st.integers(0, 3))
+    a, b = draw(term_dicts(nvars, 5, 6)), draw(term_dicts(nvars, 3, 4))
+    images = [draw(term_dicts(target, 1, 3)) for _ in range(nvars)]
+    return nvars, a, b, target, images
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(packed_cases())
+def test_packed_core_equals_the_tuple_reference(case):
+    nvars, a, b, target, images = case
+    pa, pb = Polynomial(nvars, a), Polynomial(nvars, b)
+    assert pa.terms == a and pb.terms == b
+    assert (pa + pb).terms == ref_add(a, b)
+    assert (pa - pb).terms == ref_add(a, {exp: -c for exp, c in b.items()})
+    product = ref_mul(a, b)
+    assert (pa * pb).terms == product
+    if b:
+        quotient = ref_divide(a, b)
+        assert (pa.try_divide(pb) is None) == (quotient is None)
+        if quotient is not None:
+            assert pa.try_divide(pb).terms == quotient
+        assert (pa * pb).try_divide(pb).terms == ref_divide(product, b) == a
+    pimages = [Polynomial(target, image) for image in images]
+    for p, ref in ((pa, a), (pb, b)):
+        assert p.substitute(pimages).terms == ref_substitute(ref, images, target)
+        degrees = {sum(exp) for exp in ref}
+        assert p.degree() == max(degrees, default=-1)
+        assert p.is_homogeneous() == (len(degrees) <= 1)
+        assert p.sorted_terms() == ref_sorted(ref)
+        assert p.render() == ref_render(ref)
+        assert p.to_json_dict() == {
+            "nvars": nvars,
+            "terms": [{"coeff": c, "exp": list(exp)} for exp, c in ref_sorted(ref)],
+        }
 
 
 def test_render_forms():
