@@ -30,7 +30,6 @@ from .polyring import (
 )
 from .restrict_a import (
     restriction_coefficient,
-    restriction_coefficient_symfn,
     schur_identity_check,
 )
 from .schubert import (
@@ -68,7 +67,6 @@ __all__ = [
     "positivity_certificate",
     "preceq",
     "restriction_coefficient",
-    "restriction_coefficient_symfn",
     "root_positivity_certificate",
     "schur_identity_check",
     "special_symbol",

@@ -231,27 +231,6 @@ def minimal_representative(w: Element, p_inds, lie: str) -> Element:
     return w
 
 
-def fixed_point_count(space: Space) -> int:
-    """Orbit size of the base coordinate plane; independent of symbols."""
-    if space.m == 0:
-        return 1
-    lie, rank = space.lie_type, space.torus_rank
-    gens = [apply_simple(identity_element(rank), i, lie) for i in simple_indices(lie, rank)]
-    base = frozenset(range(1, space.m + 1))
-    seen = {base}
-    frontier = [base]
-    while frontier:
-        state = frontier.pop()
-        for g in gens:
-            image = frozenset(
-                (g[abs(x) - 1] if x > 0 else -g[abs(x) - 1]) for x in state
-            )
-            if image not in seen:
-                seen.add(image)
-                frontier.append(image)
-    return len(seen)
-
-
 # -- restrictions -------------------------------------------------------------
 
 

@@ -43,7 +43,7 @@ from .schubert import (
     Space,
     Symbol,
     _codim,
-    enumerate_symbols,
+    _graded_symbols,
     family_twist_images,
     special_class,
     swap_wall_letters,
@@ -195,10 +195,27 @@ def pieri_coefficient(
 def pieri_expansion(
     space: Space, lam: Sequence[int], p: int, *, tilde: bool = False
 ) -> Dict[Symbol, Polynomial]:
-    """All nonzero coefficients of the product with the special class."""
+    """All nonzero coefficients of the product with the special class.
+
+    Only the mu that pass compute_pieri's own zero gate are evaluated: mu = lam
+    when p = 0, else lambda -> mu with codim mu <= codim lambda + p, both read
+    on the swapped letters with tilde.  The swap n <-> n+1 keeps codim, so
+    the walk over the graded symbols stops at the first codim above the window.
+    """
     lam = validate_symbol(space, lam)
+    p = int(p)
+    special_class(space, p, tilde)
+    gate_lam = swap_wall_letters(space, lam) if tilde else lam
+    top = _codim(space, lam) + p
     out: Dict[Symbol, Polynomial] = {}
-    for mu in enumerate_symbols(space):
+    for c, mu in _graded_symbols(space):
+        if c > top:
+            break
+        if p == 0:
+            if mu != lam:
+                continue
+        elif not _arrow(space, gate_lam, swap_wall_letters(space, mu) if tilde else mu):
+            continue
         value = pieri_coefficient(space, lam, mu, p, tilde=tilde)
         if not value.is_zero:
             out[mu] = value

@@ -139,9 +139,6 @@ class Polynomial:
         top = _WIDTH * self.nvars
         return len({key >> top for key in self._terms}) <= 1
 
-    def constant_term(self) -> int:
-        return self._terms.get(0, 0)
-
     def sorted_terms(self):
         """Terms as (exp, coeff) pairs, leading term first."""
         return [

@@ -15,12 +15,20 @@ the coefficient is the subword sum
 
 a manifestly positive expression: every factor t_j - t_i has i < j.  The
 sum is empty (coefficient 0) exactly when r = 0, i.e. nu is not below the
-special symbol; p = 0 gives 1, and p < 0 gives 0.  An equivalent closed
-form, used as an independent cross-check, is
+special symbol; p = 0 gives 1, and p < 0 gives 0.
 
-    sum_k e_k(t_b) * h_{p-k}(-t_a),
+The factor at position i can only use c_i in [i, r+i-1], so the sum is
+evaluated row by row, like a factorial Schur function (Molev-Sagan), instead
+of over all C(p+r-1, p) subwords.  With S_0 = 1 and S_i(c) the sum over the
+subwords of length i ending at or before c,
 
-and both come from evaluating a partial-fraction identity proved by
+    S_i(c) = S_i(c-1) + S_{i-1}(c-1) * ( t_{b[c]} - t_{a[c-i+1]} ),
+                                                   c = i .. r+i-1,
+
+and the coefficient is S_p(p+r-1): p*r products of a polynomial with one
+linear factor.  Every S_i(c) is a sum of products of the same factors
+t_j - t_i with i < j, so the value stays manifestly positive.  The subword
+sum comes from evaluating a partial-fraction identity proved by
 schur_identity_check below, which callers can replay at random integer
 points with exact rational arithmetic.
 """
@@ -29,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from typing import Sequence, Tuple
 
 from .errors import InputError
@@ -75,22 +83,23 @@ def restriction_instance(space: Space, nu: Symbol, p: int) -> RestrictionInstanc
     return inst
 
 
-def subword_terms(inst: RestrictionInstance):
-    """The factor lists (b_i, a_i index pairs), one per subword."""
-    p, r = inst.p, inst.r
-    for cs in combinations(range(1, p + r), p):
-        yield [(inst.b[c - 1], inst.a[c - i - 1]) for i, c in enumerate(cs)]
-
-
 def instance_value(inst: RestrictionInstance, images: Sequence[Polynomial]) -> Polynomial:
-    """The subword sum with t_j replaced by images[j-1] in every factor."""
-    total = Polynomial.zero(images[0].nvars)
-    for factors in subword_terms(inst):
-        term = Polynomial.one(total.nvars)
-        for bi, ai in factors:
-            term = term * (images[bi - 1] - images[ai - 1])
-        total = total + term
-    return total
+    """The subword sum with t_j replaced by images[j-1] in every factor.
+
+    Row i holds S_i(c) for c = i..r+i-1, built from row i-1 by the recursion
+    in the module docstring; the last entry of row p is the sum.
+    """
+    a, b, r = inst.a, inst.b, inst.r
+    nvars = images[0].nvars
+    if r == 0:
+        return Polynomial.zero(nvars)
+    row = [Polynomial.one(nvars)] * r
+    for i in range(inst.p):
+        total = Polynomial.zero(nvars)
+        for j in range(r):
+            total = total + row[j] * (images[b[i + j] - 1] - images[a[j] - 1])
+            row[j] = total
+    return row[-1]
 
 
 def restriction_coefficient(space: Space, nu, p: int, images=None) -> Polynomial:
@@ -114,44 +123,6 @@ def restriction_coefficient(space: Space, nu, p: int, images=None) -> Polynomial
     if p == 0:
         return Polynomial.one(nvars)
     return instance_value(restriction_instance(space, nu, p), images)
-
-
-def _elementary(indices: Sequence[int], k: int, nvars: int) -> Polynomial:
-    total = Polynomial.zero(nvars)
-    for combo in combinations(indices, k):
-        term = Polynomial.one(nvars)
-        for i in combo:
-            term = term * Polynomial.variable(i, nvars)
-        total = total + term
-    return total
-
-
-def _complete(indices: Sequence[int], k: int, nvars: int) -> Polynomial:
-    total = Polynomial.zero(nvars)
-    for combo in combinations_with_replacement(indices, k):
-        term = Polynomial.one(nvars)
-        for i in combo:
-            term = term * Polynomial.variable(i, nvars)
-        total = total + term
-    return total
-
-
-def restriction_coefficient_symfn(space: Space, nu, p: int) -> Polynomial:
-    """Same coefficient via sum_k e_k(t_b) h_{p-k}(-t_a); cross-check only."""
-    if space.lie_type != "A":
-        raise InputError("restriction coefficients live on type A spaces")
-    nu = validate_symbol(space, nu)
-    N = space.n
-    if p < 0 or p > N - space.m:
-        return Polynomial.zero(N)
-    if p == 0:
-        return Polynomial.one(N)
-    inst = restriction_instance(space, nu, p)
-    total = Polynomial.zero(N)
-    for k in range(p + 1):
-        sign = -1 if (p - k) % 2 else 1
-        total = total + _elementary(inst.b, k, N) * _complete(inst.a, p - k, N) * sign
-    return total
 
 
 def schur_identity_check(xs: Sequence, ys: Sequence) -> bool:

@@ -29,7 +29,7 @@ on the second special class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import List, Sequence, Tuple
 
 from .errors import InputError
@@ -124,17 +124,12 @@ def codim(space: Space, lam: Sequence[int]) -> int:
 
 
 def _codim(space: Space, lam: Symbol) -> int:
-    N = space.ambient
-    total = 0
-    for j in range(1, len(lam) + 1):
-        x = lam[j - 1]
-        if space.lie_type == "A":
-            total += x - j
-        elif space.lie_type == "C":
-            total += x - j - sum(1 for i in range(1, j) if lam[i - 1] + x > N + 1)
-        else:
-            # B and D count the diagonal pair i = j as well
-            total += x - j - sum(1 for i in range(1, j + 1) if lam[i - 1] + x > N + 1)
+    m = len(lam)
+    total = sum(lam) - m * (m + 1) // 2
+    if space.lie_type != "A":
+        # pairs i < j (i <= j in B and D) with lambda_i + lambda_j > N + 1
+        bound, diagonal = space.ambient + 1, space.lie_type != "C"
+        total -= sum(1 for j, x in enumerate(lam) for y in lam[: j + diagonal] if x + y > bound)
     return space.dimension - total
 
 
@@ -257,19 +252,23 @@ def special_symbol(space: Space, p: int) -> Tuple[Symbol, int]:
     return sym, (sym[0] if sym else 0)
 
 
+def _graded_symbols(space: Space) -> List[Tuple[int, Symbol]]:
+    """(codim, symbol) for every symbol, sorted: fundamental class first."""
+    N, m = space.ambient, space.m
+    if space.lie_type == "A":
+        symbols = combinations(range(1, N + 1), m)
+    else:
+        # an isotropic symbol holds one letter of each of m mirror pairs
+        # {c, N+1-c}, c <= n; in type B the middle letter n+1 is its own
+        # mirror and never occurs
+        symbols = (
+            tuple(sorted(letters))
+            for pairs in combinations(range(1, space.n + 1), m)
+            for letters in product(*((c, N + 1 - c) for c in pairs))
+        )
+    return sorted((_codim(space, s), s) for s in symbols)
+
+
 def enumerate_symbols(space: Space):
     """All symbols, sorted by (codim, lexicographic), fundamental class first."""
-    N = space.ambient
-    out = []
-    for combo in combinations(range(1, N + 1), space.m):
-        if space.lie_type != "A":
-            k = len(combo)
-            if any(
-                combo[i] + combo[j] == N + 1
-                for i in range(k)
-                for j in range(i, k)
-            ):
-                continue
-        out.append(combo)
-    out.sort(key=lambda s: (_codim(space, s), s))
-    return out
+    return [s for _, s in _graded_symbols(space)]

@@ -354,3 +354,41 @@ def test_oracle_exits_cleanly_and_agrees_with_pieri(argv):
     assert "Traceback" not in err
     if code == 0:
         assert call_main(["pieri", *argv])[:2] == (0, out)
+
+
+# the rule also covers the maximal OG(n,2n), which the oracle leaves out
+EXPAND_SPACES = SMALL_SPACES + [Space("D", n, n) for n in range(2, 5)]
+
+
+@st.composite
+def expand_argv(draw):
+    """An expand command line and whether its input is valid; about one draw
+    in six puts lambda, p or --tilde outside the contract."""
+    space = draw(st.sampled_from(EXPAND_SPACES))
+    bound = pieri_bound(space)
+    symbols = enumerate_symbols(space)
+
+    def rare():
+        return draw(st.integers(0, 5)) == 5
+
+    if rare():
+        lam = tuple(draw(st.lists(st.integers(-1, space.ambient + 1), max_size=space.m + 1)))
+    else:
+        lam = draw(st.sampled_from(symbols))
+    p = draw(st.integers(-1, bound + 1) if rare() else st.integers(0, bound))
+    legal = space.lie_type == "D" and p == space.n - space.m >= 1
+    tilde = draw(st.booleans()) if legal else rare()
+    valid = lam in symbols and 0 <= p <= bound and (legal or not tilde)
+    argv = ["expand", "--type", space.lie_type, "--n", str(space.n), "--m", str(space.m),
+            "--lambda", ",".join(map(str, lam)), "--p", str(p)]
+    argv += draw(st.lists(st.sampled_from(["--json", "--certify"]), unique=True))
+    return argv + ["--tilde"] if tilde else argv, valid
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(expand_argv())
+def test_expand_exits_cleanly(case):
+    argv, valid = case
+    code, _, err = call_main(argv)
+    assert "Traceback" not in err
+    assert code == (0 if valid else 1), (argv, err)

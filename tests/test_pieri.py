@@ -2,6 +2,7 @@
 
 import pytest
 
+import eqpieri.pieri
 from eqpieri.diagram import arrow, build
 from eqpieri.errors import InputError
 from eqpieri.gkm import GkmEngine
@@ -100,7 +101,7 @@ def test_symplectic_classical_coefficients_count_subsets():
                     continue
                 value = pieri_coefficient(space, lam, mu, p)
                 d = build(space, lam, mu, p)
-                assert value.constant_term() == 2 ** len(d.Q)
+                assert value.terms.get((0,) * space.n, 0) == 2 ** len(d.Q)
 
 
 def test_second_family_matches_the_twisted_swap():
@@ -254,3 +255,72 @@ def test_specialization_images_shape():
     assert images[N - 1] == -Polynomial.variable(1, n)
     with pytest.raises(InputError):
         specialization_images(GR38)
+
+
+# every type with m in {0, 1, n-1, n}, the maximal OG(3,6) and OG(4,8) among them
+EVERY_M = [
+    Space(*key)
+    for key in (
+        ("A", 0, 3), ("A", 1, 4), ("A", 3, 4), ("A", 2, 5), ("A", 3, 7),
+        ("C", 0, 2), ("C", 1, 3), ("C", 2, 3), ("C", 3, 3), ("C", 3, 4),
+        ("B", 0, 2), ("B", 1, 3), ("B", 2, 3), ("B", 3, 3), ("B", 1, 4), ("B", 3, 4),
+        ("D", 0, 3), ("D", 1, 3), ("D", 2, 3), ("D", 3, 3),
+        ("D", 1, 4), ("D", 2, 4), ("D", 3, 4), ("D", 4, 4),
+    )
+]
+
+
+def test_expansion_is_every_nonzero_coefficient_in_symbol_order():
+    for space in EVERY_M:
+        symbols = enumerate_symbols(space)
+        for lam in symbols:
+            for p in range(pieri_bound(space) + 1):
+                legal = space.lie_type == "D" and p == space.n - space.m >= 1
+                for tilde in (False, True) if legal else (False,):
+                    expected = [
+                        (mu, value)
+                        for mu in symbols
+                        if not (value := pieri_coefficient(space, lam, mu, p, tilde=tilde)).is_zero
+                    ]
+                    computed = pieri_expansion(space, lam, p, tilde=tilde)
+                    assert list(computed.items()) == expected, (space, lam, p, tilde)
+
+
+def test_expansion_evaluates_only_the_gate_survivors(monkeypatch):
+    # the expand ops of the benchmark on SG(3,10) and OG(3,11): 144 and 176
+    # pairs pass lambda -> mu and the codim window, of 1,120 pairs each
+    ops = {
+        Space("C", 3, 5): [
+            ((7, 8, 9), 1), ((4, 5, 8), 1), ((3, 5, 7), 2), ((2, 3, 4), 2),
+            ((3, 6, 9), 3), ((1, 5, 7), 3), ((3, 7, 10), 4), ((6, 8, 9), 4),
+            ((6, 7, 8), 5), ((1, 3, 9), 5), ((6, 9, 10), 6), ((6, 8, 10), 6),
+            ((1, 4, 5), 7), ((2, 7, 8), 7),
+        ],
+        Space("B", 3, 5): [
+            ((2, 4, 9), 1), ((4, 5, 10), 1), ((4, 7, 11), 2), ((2, 4, 9), 2),
+            ((1, 8, 10), 3), ((3, 7, 10), 3), ((3, 5, 11), 4), ((2, 9, 11), 4),
+            ((5, 8, 10), 5), ((4, 9, 11), 5), ((1, 5, 10), 6), ((2, 4, 9), 6),
+            ((8, 10, 11), 7), ((1, 3, 7), 7),
+        ],
+    }
+    evaluated = []
+    original = eqpieri.pieri.pieri_coefficient
+
+    def counting(space, lam, mu, p, **kwargs):
+        evaluated.append((space, lam, mu, p))
+        return original(space, lam, mu, p, **kwargs)
+
+    monkeypatch.setattr(eqpieri.pieri, "pieri_coefficient", counting)
+    for space, pairs in ops.items():
+        symbols = enumerate_symbols(space)
+        evaluated.clear()
+        survivors = []
+        for lam, p in pairs:
+            pieri_expansion(space, lam, p)
+            survivors += [
+                (space, lam, mu, p)
+                for mu in symbols
+                if arrow(space, lam, mu) and codim(space, mu) <= codim(space, lam) + p
+            ]
+        assert evaluated == survivors
+        assert 5 * len(evaluated) < len(pairs) * len(symbols)

@@ -39,7 +39,7 @@ def test_construction_drops_zeros_and_validates():
     with pytest.raises(InputError):
         Polynomial(2, {(-1, 0): 1})
     assert Polynomial.zero(3).is_zero
-    assert Polynomial.one(3).constant_term() == 1
+    assert Polynomial.one(3).terms.get((0, 0, 0), 0) == 1
 
 
 def test_ring_laws_at_random_points():

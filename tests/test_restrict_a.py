@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqpieri.errors import InputError
 from eqpieri.pieri import specialization_images
@@ -11,7 +14,6 @@ from eqpieri.polyring import Polynomial
 from eqpieri.restrict_a import (
     instance_value,
     restriction_coefficient,
-    restriction_coefficient_symfn,
     restriction_instance,
     schur_identity_check,
 )
@@ -103,7 +105,7 @@ def test_support_matches_order_with_special_symbol():
                         assert value.is_homogeneous() and value.degree() == p
 
 
-def test_subword_and_symmetric_function_forms_agree():
+def test_subword_and_symmetric_function_forms_agree(restriction_coefficient_symfn):
     for N in range(2, 8):
         for m in range(1, N + 1):
             space = Space("A", m, N)
@@ -112,6 +114,42 @@ def test_subword_and_symmetric_function_forms_agree():
                     assert restriction_coefficient(
                         space, nu, p
                     ) == restriction_coefficient_symfn(space, nu, p)
+
+
+def subword_sum(inst, images):
+    """The sum of the module docstring, one product per subword; the
+    reference for instance_value's row recursion."""
+    p, r, a, b = inst.p, inst.r, inst.a, inst.b
+    total = Polynomial.zero(images[0].nvars)
+    for cs in combinations(range(1, p + r), p):
+        term = Polynomial.one(total.nvars)
+        for i, c in enumerate(cs):
+            term = term * (images[b[c - 1] - 1] - images[a[c - i - 1] - 1])
+        total = total + term
+    return total
+
+
+@st.composite
+def instances_with_images(draw):
+    """A restriction instance on Gr(m, N) and images of the N weights: the
+    variables themselves, or the folding map of a B, C or D space."""
+    N = draw(st.integers(2, 9))
+    m = draw(st.integers(0, N - 1))
+    nu = tuple(sorted(draw(st.sets(st.integers(1, N), min_size=m, max_size=m))))
+    p = draw(st.integers(1, N - m))
+    folds = [Space("B", 0, N // 2)] if N % 2 else [Space("C", 0, N // 2)]
+    if N % 2 == 0 and N >= 4:
+        folds.append(Space("D", 0, N // 2))
+    fold = draw(st.sampled_from([None] + folds))
+    images = variables(N) if fold is None else specialization_images(fold)
+    return restriction_instance(Space("A", m, N), nu, p), images
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(instances_with_images())
+def test_row_recursion_equals_the_subword_sum(case):
+    inst, images = case
+    assert instance_value(inst, images) == subword_sum(inst, images)
 
 
 def test_values_positive_at_increasing_points():

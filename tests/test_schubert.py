@@ -1,5 +1,7 @@
 """Symbols, codimensions, orders, and special classes on small spaces."""
 
+from itertools import combinations
+
 import pytest
 
 from eqpieri.cli import _COMMANDS, build_parser
@@ -10,6 +12,7 @@ from eqpieri.pieri import compute_pieri, pieri_coefficient, pieri_expansion
 from eqpieri.restrict_a import restriction_coefficient
 from eqpieri.schubert import (
     Space,
+    _graded_symbols,
     codim,
     enumerate_symbols,
     leq,
@@ -168,6 +171,26 @@ def test_enumerate_sorted_by_codim_then_lex():
         syms = enumerate_symbols(space)
         keys = [(codim(space, s), s) for s in syms]
         assert keys == sorted(keys)
+
+
+def test_graded_symbols_equal_the_filtered_combinations():
+    # every space of rank <= 4 (Gr up to N = 7), every m, maximal OG(n,2n) too
+    spaces = [
+        Space(lie, m, n)
+        for lie in "ABCD"
+        for n in range(2 if lie == "D" else 1, 8 if lie == "A" else 5)
+        for m in range(n + 1)
+    ]
+    for space in spaces:
+        N = space.ambient
+        symbols = [
+            s
+            for s in combinations(range(1, N + 1), space.m)
+            if space.lie_type == "A" or all(a + b != N + 1 for a in s for b in s)
+        ]
+        expected = sorted((codim(space, s), s) for s in symbols)
+        assert _graded_symbols(space) == expected, space
+        assert enumerate_symbols(space) == [s for _, s in expected]
 
 
 def test_leq_antitone_codim():
