@@ -221,7 +221,8 @@ def _cmd_oracle(args) -> int:
     if args.p == 0:
         value = Polynomial.one(nvars) if lam == mu else Polynomial.zero(nvars)
     else:
-        value = GkmEngine(space).product_expansion(lam, sigma).get(mu, Polynomial.zero(nvars))
+        expansion = GkmEngine(space).product_expansion(lam, sigma, mu)
+        value = expansion.get(mu, Polynomial.zero(nvars))
     if args.json:
         _json_print({"coefficient": value.to_json_dict()})
     else:

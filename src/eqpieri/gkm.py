@@ -25,9 +25,12 @@ factor of a reduced word of an element of W^P is again in W^P.
 
 Structure constants come from triangular expansion, and the columns of
 restrictions are built only at the candidate fixed points: those below
-both factors, of codimension at most the sum of theirs.  Every division
-there must come out polynomial, or a ConsistencyError is raised; the
-residual at the other fixed points is not checked by the expansion.
+both factors, of codimension at most the sum of theirs.  Asked for one
+coefficient c^mu, as the oracle command is, the expansion keeps only the
+candidates above mu, the interval that c^mu depends on; the audit asks
+for every coefficient and keeps them all.  Every division there must come
+out polynomial, or a ConsistencyError is raised; the residual at the
+other fixed points is not checked by the expansion.
 """
 
 from __future__ import annotations
@@ -384,11 +387,18 @@ class GkmEngine:
         mu = validate_symbol(self.space, mu)
         return {nu: self._restriction(mu, nu) for nu in self.symbols}
 
-    def product_expansion(self, lam, sigma) -> Dict[Symbol, Polynomial]:
-        """[X_lam] * [X_sigma] = sum of c^nu [X_nu]: all coefficients."""
-        lam = validate_symbol(self.space, lam)
-        sigma = validate_symbol(self.space, sigma)
+    def product_expansion(self, lam, sigma, mu=None) -> Dict[Symbol, Polynomial]:
+        """[X_lam] * [X_sigma] = sum of c^nu [X_nu]: all coefficients.
+
+        With mu, only the coefficients c^s with mu <= s.  The elimination
+        reads c^s only from the points above s, so these candidates are
+        closed upward and each value is the full expansion's coefficient.
+        """
         space = self.space
+        lam = validate_symbol(space, lam)
+        sigma = validate_symbol(space, sigma)
+        if mu is not None:
+            mu = validate_symbol(space, mu)
         bound = _codim(space, lam) + _codim(space, sigma)
         candidates = [
             s
@@ -397,6 +407,12 @@ class GkmEngine:
             and _preceq(space, s, lam)
             and _preceq(space, s, sigma)
         ]
+        if mu is not None and candidates:
+            # rejects the opposite component of OG(n,2n) as the full
+            # expansion does at its columns, without building any
+            for s in (lam, sigma, *candidates):
+                self.representative(s)
+            candidates = [s for s in candidates if _preceq(space, mu, s)]
         restriction = self._restriction
         h = {s: restriction(lam, s) * restriction(sigma, s) for s in candidates}
         out: Dict[Symbol, Polynomial] = {}

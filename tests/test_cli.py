@@ -22,7 +22,10 @@ from hypothesis import strategies as st
 
 import eqpieri
 from eqpieri.cli import main
-from eqpieri.schubert import Space, enumerate_symbols, pieri_bound
+from eqpieri.errors import InputError
+from eqpieri.gkm import GkmEngine
+from eqpieri.polyring import Polynomial
+from eqpieri.schubert import Space, enumerate_symbols, pieri_bound, special_class
 
 
 def run_cli(capsys, *argv):
@@ -356,6 +359,34 @@ def test_oracle_exits_cleanly_and_agrees_with_pieri(argv):
         assert call_main(["pieri", *argv])[:2] == (0, out)
 
 
+@pytest.mark.parametrize("space", [Space("D", 2, 2), Space("D", 3, 3)],
+                         ids=lambda space: space.name())
+def test_oracle_on_the_maximal_space_fails_exactly_when_the_full_expansion_does(
+        capsys, space):
+    # oracle expands only above mu, yet rejects a product that touches the
+    # opposite component exactly when the full expansion does
+    zero = Polynomial.zero(space.torus_rank)
+    symbols = enumerate_symbols(space)
+    outcomes = set()
+    for p in range(1, pieri_bound(space) + 1):
+        sigma = special_class(space, p)
+        for lam in symbols:
+            try:
+                full, message = GkmEngine(space).product_expansion(lam, sigma), ""
+            except InputError as exc:
+                full, message = None, f"eqpieri: error: {exc}\n"
+            for mu in symbols:
+                got = run_cli(capsys, "oracle", "--type", "D", "--n", str(space.n),
+                              "--m", str(space.m), "--lambda", ",".join(map(str, lam)),
+                              "--mu", ",".join(map(str, mu)), "--p", str(p))
+                if full is None:
+                    assert got == (1, "", message), (lam, mu, p)
+                else:
+                    assert got == (0, full.get(mu, zero).render() + "\n", ""), (lam, mu, p)
+                outcomes.add(got[0])
+    assert outcomes == {0, 1}
+
+
 # the rule also covers the maximal OG(n,2n), which the oracle leaves out
 EXPAND_SPACES = SMALL_SPACES + [Space("D", n, n) for n in range(2, 5)]
 
@@ -392,3 +423,43 @@ def test_expand_exits_cleanly(case):
     code, _, err = call_main(argv)
     assert "Traceback" not in err
     assert code == (0 if valid else 1), (argv, err)
+
+
+@st.composite
+def rule_argv(draw):
+    """A pieri, diagram or restrict command line over EXPAND_SPACES; about
+    one draw in six puts a symbol, p or a flag outside the contract."""
+    command = draw(st.sampled_from(["pieri", "diagram", "restrict"]))
+    space = draw(st.sampled_from(EXPAND_SPACES))
+    bound = pieri_bound(space)
+
+    def rare():
+        return draw(st.integers(0, 5)) == 5
+
+    valid = st.sampled_from(enumerate_symbols(space))
+    anything = st.lists(st.integers(-1, space.ambient + 1), max_size=space.m + 1)
+    lam, mu = (",".join(map(str, draw(anything if rare() else valid))) for _ in range(2))
+    p = draw(st.integers(-1, bound + 1) if rare() else st.integers(0, bound))
+    argv = [command, "--type", space.lie_type, "--n", str(space.n), "--m", str(space.m),
+            "--lambda", lam, "--p", str(p)]
+    if command != "restrict":
+        argv += ["--mu", mu]
+    flags = {"pieri": ["--tilde", "--json", "--certify", "--chat", "--pivot"],
+             "diagram": ["--chat", "--pivot"],
+             "restrict": ["--json"]}
+    choices = flags["pieri"] if rare() else flags[command]
+    for flag in draw(st.lists(st.sampled_from(choices), unique=True, max_size=2)):
+        argv.append(flag)
+        if flag == "--chat":
+            argv.append(str(draw(st.integers(-1, space.ambient + 1))))
+        elif flag == "--pivot":
+            argv.append(",".join(map(str, draw(anything))))
+    return argv
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(rule_argv())
+def test_pieri_diagram_and_restrict_exit_cleanly(argv):
+    code, _, err = call_main(argv)
+    assert code in (0, 1, 2), (argv, err)
+    assert "Traceback" not in err

@@ -1,9 +1,11 @@
 """Localization engine: fixed-point restrictions and structure constants."""
 
+import functools
 import itertools
 
 import pytest
 
+from eqpieri import gkm
 from eqpieri.errors import ConsistencyError, InputError
 from eqpieri.gkm import (
     GkmEngine,
@@ -192,15 +194,38 @@ def test_maximal_type_d_restriction_equals_the_reference_by_swap_and_twist():
             assert type_d_restriction(maximal, nu, q) == expected
 
 
+OG18 = Space("D", 1, 4)
+ORDER_SPACES = (GR25, SG26, OG27, OG26, OG18, OG28, OG38)
+
+
+def _above(space, symbols):
+    """Each symbol mapped to the set of the symbols above it (preceq)."""
+    return {a: {b for b in symbols if preceq(space, a, b)} for a in symbols}
+
+
 def test_support_of_restrictions_is_the_partial_order():
     # r(mu)|_nu != 0 exactly when nu lies in the Schubert variety of mu
-    for space in (SG26, OG26):
+    for space in ORDER_SPACES:
         engine = GkmEngine(space)
         symbols = enumerate_symbols(space)
         for mu in symbols:
             for nu in symbols:
                 value = engine.restriction(mu, nu)
                 assert (not value.is_zero) == preceq(space, nu, mu)
+    # the type-D spaces among them reach symbols of both families
+    for space in (OG28, OG38):
+        assert {type_of(space, s) for s in enumerate_symbols(space)} >= {1, 2}
+
+
+@pytest.mark.parametrize("space", ORDER_SPACES, ids=lambda space: space.name())
+def test_partial_order_is_transitive(space):
+    # the expansion above mu relies on it: the points above mu are closed upward
+    symbols = enumerate_symbols(space)
+    above = _above(space, symbols)
+    for a in symbols:
+        assert a in above[a]
+        for b in above[a]:
+            assert above[b] <= above[a], (a, b)
 
 
 def _reflections(space):
@@ -257,6 +282,47 @@ def test_product_expansions_hold_at_every_fixed_point():
                     for mu, coeff in expansion.items():
                         rhs = rhs + coeff * engine.restriction(mu, nu)
                     assert lhs == rhs
+
+
+def _special_classes(space):
+    """Every special class of the space, the second family where it exists."""
+    for p in range(pieri_bound(space) + 1):
+        yield special_class(space, p)
+        if space.lie_type == "D" and p == space.n - space.m >= 1:
+            yield special_class(space, p, tilde=True)
+
+
+@pytest.mark.parametrize(
+    "space",
+    (GR25, Space("C", 1, 3), SG26, Space("C", 3, 3), Space("B", 1, 3), OG27,
+     OG18, OG28, OG38),
+    ids=lambda space: space.name(),
+)
+def test_expansion_above_mu_is_the_full_expansion_on_the_interval(space, monkeypatch):
+    # c^mu depends only on the c^s with mu <= s: asked for mu, the expansion
+    # builds columns at exactly those candidates and returns their values.
+    # The columns are dropped before each call; the DP behind them is cached
+    # across calls, as its values are pinned by the Billey-sum test.
+    monkeypatch.setattr(gkm, "_subword_sums", functools.lru_cache(None)(gkm._subword_sums))
+    symbols = enumerate_symbols(space)
+    above = _above(space, symbols)
+    codims = {s: codim(space, s) for s in symbols}
+    for sigma in _special_classes(space):
+        reference, engine = GkmEngine(space), GkmEngine(space)
+        for lam in symbols:
+            full = reference.product_expansion(lam, sigma)
+            bound = codims[lam] + codims[sigma]
+            candidates = [
+                s for s in symbols
+                if codims[s] <= bound and lam in above[s] and sigma in above[s]
+            ]
+            assert list(full) == candidates
+            for mu in symbols:
+                interval = [s for s in candidates if s in above[mu]]
+                engine._columns.clear()
+                part = engine.product_expansion(lam, sigma, mu)
+                assert set(engine._columns) == set(interval), (lam, sigma, mu)
+                assert part == {s: full[s] for s in interval}
 
 
 def test_structure_constants_are_symmetric_in_the_factors():
