@@ -27,15 +27,14 @@ from typing import List, Optional, Sequence
 from .audit import SMALL_SUITE, audit, identity_failures
 from .diagram import build
 from .errors import ConsistencyError, InputError
-from .gkm import GkmEngine, fixed_point_restriction, type_d_restriction
+from .gkm import GkmEngine, fixed_point_restriction
 from .pieri import (
     compute_pieri,
     pieri_expansion,
     positivity_certificate,
 )
 from .polyring import Polynomial
-from .restrict_a import restriction_coefficient
-from .schubert import Space, enumerate_symbols, special_class, validate_symbol
+from .schubert import Space, enumerate_symbols, own_special_class, validate_symbol
 
 
 class _Parser(argparse.ArgumentParser):
@@ -196,15 +195,7 @@ def _cmd_expand(args) -> int:
 def _cmd_restrict(args) -> int:
     space = _space_from(args)
     nu = validate_symbol(space, args.lam)
-    sigma = special_class(space, args.p)
-    if args.p == 0:
-        value = Polynomial.one(space.torus_rank)
-    elif space.lie_type == "A":
-        value = restriction_coefficient(space, nu, args.p)
-    elif space.lie_type == "D" and space.m == space.n:
-        value = type_d_restriction(space, nu, args.p)
-    else:
-        value = fixed_point_restriction(space, sigma, nu)
+    value = fixed_point_restriction(space, own_special_class(space, nu, args.p, False), nu)
     if args.json:
         _json_print({"restriction": value.to_json_dict()})
     else:
@@ -216,7 +207,7 @@ def _cmd_oracle(args) -> int:
     space = _space_from(args)
     lam = validate_symbol(space, args.lam)
     mu = validate_symbol(space, args.mu)
-    sigma = special_class(space, args.p, args.tilde)
+    sigma = own_special_class(space, lam, args.p, args.tilde)
     nvars = space.torus_rank
     if args.p == 0:
         value = Polynomial.one(nvars) if lam == mu else Polynomial.zero(nvars)

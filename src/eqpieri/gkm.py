@@ -13,8 +13,12 @@ signs).  Multiplication composes functions, and right multiplication by
 the simple reflection s_i edits positions, so descents are read off the
 one-line word.  A Schubert symbol maps to the minimal coset
 representative u_lam whose first m letters are the (signed) letters of
-the symbol; restrictions use the twisted representative w0 * u_lam.  The
-class [X_mu]^T restricted to the fixed point nu is Billey's sum, over
+the symbol; restrictions use the twisted representative w0 * u_lam.
+OG(n,2n) has two components, the W(D_n)-orbits of {1..n} and of
+{1..n-1, -n}; a symbol on the second has the last letter of u_lam negated,
+and its parabolic subgroup omits s_(n-1) instead of s_n.  A class of one
+component restricts to zero on the other.  The class [X_mu]^T
+restricted to the fixed point nu is Billey's sum, over
 reduced subwords of a fixed reduced word of (the representative of) nu
 that multiply out to (the representative of) mu, of the products of the
 inversion roots met along the way, each root mapped by t_i -> w0(t_i) so
@@ -45,11 +49,8 @@ from .schubert import (
     _codim,
     _preceq,
     enumerate_symbols,
-    family_twist_images,
+    own_special_class,
     pieri_bound,
-    special_class,
-    swap_wall_letters,
-    type_of,
     validate_symbol,
 )
 
@@ -200,21 +201,21 @@ def symbol_to_weyl(space: Space, lam: Symbol) -> Element:
         else:
             letters.append(-(N + 1 - c))
     used = {abs(x) for x in letters}
-    completion = [c for c in range(1, n + 1) if c not in used]
+    word = letters + [c for c in range(1, n + 1) if c not in used]
     if t == "D" and sum(1 for x in letters if x < 0) % 2:
-        if not completion:
-            raise InputError(
-                "symbol lies on the opposite component of the maximal space"
-            )
-        completion[-1] = -completion[-1]
-    return tuple(letters) + tuple(completion)
+        # an even number of sign changes: on OG(n,2n) this maps the base
+        # point {1..n-1, -n} of the second component to the symbol
+        word[-1] = -word[-1]
+    return tuple(word)
 
 
-def parabolic_indices(space: Space) -> Tuple[int, ...]:
-    """Simple reflections generating the stabilizer subgroup."""
+def parabolic_indices(space: Space, sym: Symbol) -> Tuple[int, ...]:
+    """Simple reflections generating the stabilizer of sym's base point."""
     t, m, n = space.lie_type, space.m, space.n
     if t == "D" and m == n:
-        excluded = {n}
+        # {1..n-1, -n}, the base point of the second component, is fixed by
+        # s_n and moved by s_(n-1)
+        excluded = {n - 1} if sum(1 for c in sym if c > n) % 2 else {n}
     elif t == "D" and m == n - 1:
         excluded = {n - 1, n}
     else:
@@ -290,38 +291,40 @@ def _subword_sums(
     return sums
 
 
+def _coset(space: Space, sym: Symbol) -> Tuple[Tuple[int, ...], Element]:
+    """The parabolic of sym's component and its twisted minimal representative."""
+    lie = space.lie_type
+    p_inds = parabolic_indices(space, sym)
+    w0 = longest_element(lie, space.torus_rank)
+    return p_inds, minimal_representative(compose(w0, symbol_to_weyl(space, sym)), p_inds, lie)
+
+
 def fixed_point_restriction(space: Space, mu, nu) -> Polynomial:
     """[X_mu]^T restricted to the fixed point of nu, computed standalone.
 
     The subword sum of _subword_sums with the representative of mu as its
-    target, so only products up to its length are carried.
+    target, so only products up to its length are carried.  A class of one
+    component of OG(n,2n) vanishes on the other.
     """
-    mu = validate_symbol(space, mu)
-    nu = validate_symbol(space, nu)
-    lie, nvars = space.lie_type, space.torus_rank
-    w0 = longest_element(lie, nvars)
-    p_inds = parabolic_indices(space)
-    w = minimal_representative(compose(w0, symbol_to_weyl(space, mu)), p_inds, lie)
-    v = minimal_representative(compose(w0, symbol_to_weyl(space, nu)), p_inds, lie)
-    return _subword_sums(v, lie, p_inds, w).get(w, Polynomial.zero(nvars))
+    p_mu, w = _coset(space, validate_symbol(space, mu))
+    p_inds, v = _coset(space, validate_symbol(space, nu))
+    zero = Polynomial.zero(space.torus_rank)
+    if p_mu != p_inds:
+        return zero
+    return _subword_sums(v, space.lie_type, p_inds, w).get(w, zero)
 
 
 def type_d_restriction(space: Space, nu, q: int) -> Polynomial:
     """N^nu_{nu,q} on an even orthogonal space, straight from localization.
 
-    For m < n this is the restriction of the degree-q special class to the
+    For q >= 1 this is the restriction of the degree-q special class to the
     fixed point of nu.  On the maximal space OG(n,2n) the special variety
     meets only one of the two families of maximal isotropic subspaces, so the
-    value depends on the component of nu:
-
-    * q = 0: the coefficient is the intersection number of P(V_nu) with the
-      ruling P(E_n) on the quadric of dimension 2(n-1) -- two maximal
-      isotropic spaces meet in a point exactly when their intersection has
-      odd dimension, i.e. #(nu cap [1,n]) is odd.
-    * q >= 1: restrict the incidence class of nu's own component.  Compute
-      with the family-1 representative of the special symbol; for a family-2
-      point, swap the letters n <-> n+1 (moving to family 1), restrict there,
-      and twist back by t_n -> -t_n.
+    class is the one on nu's own component (own_special_class).  At q = 0
+    the coefficient there is the intersection number of P(V_nu) with the
+    ruling P(E_n) on the quadric of dimension 2(n-1) -- two maximal
+    isotropic spaces meet in a point exactly when their intersection has
+    odd dimension, i.e. #(nu cap [1,n]) is odd.
     """
     if space.lie_type != "D":
         raise InputError("this restriction shortcut is for even orthogonal spaces")
@@ -336,15 +339,7 @@ def type_d_restriction(space: Space, nu, q: int) -> Polynomial:
         return Polynomial.one(nvars)
     if space.m == 0 or q > pieri_bound(space):
         return Polynomial.zero(nvars)
-    s_q = special_class(space, q)
-    if space.m < n:
-        return fixed_point_restriction(space, s_q, nu)
-    if type_of(space, s_q) != 1:
-        s_q = swap_wall_letters(space, s_q)
-    if type_of(space, nu) == 1:
-        return fixed_point_restriction(space, s_q, nu)
-    raw = fixed_point_restriction(space, s_q, swap_wall_letters(space, nu))
-    return raw.substitute(family_twist_images(n))
+    return fixed_point_restriction(space, own_special_class(space, nu, q, False), nu)
 
 
 class GkmEngine:
@@ -354,26 +349,21 @@ class GkmEngine:
         self.space = space
         self.lie = space.lie_type
         self.nvars = space.torus_rank
-        self.w0 = longest_element(self.lie, self.nvars)
-        self.p_inds = parabolic_indices(space)
         self.symbols = enumerate_symbols(space)
-        self._reps: Dict[Symbol, Element] = {}
+        self._cosets: Dict[Symbol, Tuple[Tuple[int, ...], Element]] = {}
         self._columns: Dict[Symbol, Dict[Element, Polynomial]] = {}
 
-    def representative(self, sym: Symbol) -> Element:
-        if sym not in self._reps:
-            u = symbol_to_weyl(self.space, sym)
-            self._reps[sym] = minimal_representative(
-                compose(self.w0, u), self.p_inds, self.lie
-            )
-        return self._reps[sym]
+    def _coset(self, sym: Symbol) -> Tuple[Tuple[int, ...], Element]:
+        if sym not in self._cosets:
+            self._cosets[sym] = _coset(self.space, sym)
+        return self._cosets[sym]
 
     def _column(self, nu: Symbol) -> Dict[Element, Polynomial]:
-        """Raw subword sums at the fixed point nu, for every class at once."""
+        """Raw subword sums at the fixed point nu, for every class of its
+        component at once."""
         if nu not in self._columns:
-            self._columns[nu] = _subword_sums(
-                self.representative(nu), self.lie, self.p_inds
-            )
+            p_inds, v = self._coset(nu)
+            self._columns[nu] = _subword_sums(v, self.lie, p_inds)
         return self._columns[nu]
 
     def restriction(self, mu, nu) -> Polynomial:
@@ -381,7 +371,10 @@ class GkmEngine:
         return self._restriction(validate_symbol(space, mu), validate_symbol(space, nu))
 
     def _restriction(self, mu: Symbol, nu: Symbol) -> Polynomial:
-        return self._column(nu).get(self.representative(mu), Polynomial.zero(self.nvars))
+        p_mu, w = self._coset(mu)
+        if p_mu != self._coset(nu)[0]:
+            return Polynomial.zero(self.nvars)
+        return self._column(nu).get(w, Polynomial.zero(self.nvars))
 
     def restriction_vector(self, mu) -> Dict[Symbol, Polynomial]:
         mu = validate_symbol(self.space, mu)
@@ -407,11 +400,7 @@ class GkmEngine:
             and _preceq(space, s, lam)
             and _preceq(space, s, sigma)
         ]
-        if mu is not None and candidates:
-            # rejects the opposite component of OG(n,2n) as the full
-            # expansion does at its columns, without building any
-            for s in (lam, sigma, *candidates):
-                self.representative(s)
+        if mu is not None:
             candidates = [s for s in candidates if _preceq(space, mu, s)]
         restriction = self._restriction
         h = {s: restriction(lam, s) * restriction(sigma, s) for s in candidates}

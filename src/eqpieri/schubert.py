@@ -23,7 +23,8 @@ condition and agrees with leq() in types A, B, C.
 Symbols are checked once, where they enter the package: codim(), leq() and
 preceq() validate and call private cores, which trust symbols the package
 built or checked.  special_class() holds the contract on the degree p and
-on the second special class.
+on the second special class; own_special_class() takes, on OG(n,2n), the
+special class on a symbol's own component.
 """
 
 from __future__ import annotations
@@ -240,6 +241,18 @@ def special_class(space: Space, p: int, tilde: bool = False) -> Symbol:
         tail = [x for x in range(N + 1 - m, N + 1) if x != N + 1 - np_]
         sym = tuple(sorted([np_] + tail))
     return swap_wall_letters(space, sym) if tilde else sym
+
+
+def own_special_class(space: Space, lam: Symbol, p: int, tilde: bool) -> Symbol:
+    """The special class whose product with lam the coefficients N^mu_{lam,p}
+    expand: special_class, except on the maximal OG(n,2n), where it is the
+    one on lam's own component, its letters n <-> n+1 swapped when the two
+    families differ.  A product across the components is zero."""
+    sigma = special_class(space, p, tilde)
+    maximal = space.lie_type == "D" and space.m == space.n
+    if maximal and type_of(space, sigma) != type_of(space, lam):
+        return swap_wall_letters(space, sigma)
+    return sigma
 
 
 def special_symbol(space: Space, p: int) -> Tuple[Symbol, int]:

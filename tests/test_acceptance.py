@@ -2,7 +2,8 @@
 
 One test per contract, in order: the four worked structure coefficients
 (one per Lie type, with runtime ceilings), the full rule-versus-localization
-audit over four small spaces, the ordinary-cohomology limit, Graham
+audit over four small spaces and over spaces with m = 1, n - 1 and n (the
+maximal OG(n,2n) included), the ordinary-cohomology limit, Graham
 positivity of every nonzero output, the rational-function identity and the
 symmetric-function cross-check behind the type-A restriction formula,
 independence from every discretionary choice the reductions allow, and the
@@ -12,8 +13,8 @@ the two special classes has a nonzero coefficient.  All comparisons are
 exact symbolic equality with zero tolerance.
 
 The sweeps read the records of ``eqpieri.audit``, the same audit that
-``eqpieri verify`` prints; each space's records are computed once per
-session.
+``eqpieri verify`` prints; each space of ``verify`` has its records
+computed once per session.
 """
 
 import functools
@@ -119,6 +120,34 @@ def test_rule_equals_localization_oracle_on_four_spaces():
             )
             checked += r.arrow
     assert checked == 105 + 220 + 220 + 805 + 161
+
+
+# m = 1, n - 1 and n in each type, the maximal OG(n,2n) included
+EXTREME_SPACES = tuple(Space(lie, m, n) for lie, m, n in (
+    ("D", 2, 2), ("D", 3, 3), ("D", 4, 4), ("D", 1, 4), ("D", 3, 4), ("D", 1, 5),
+    ("C", 1, 3), ("C", 3, 3), ("C", 1, 4), ("C", 4, 4),
+    ("B", 1, 3), ("B", 3, 3), ("B", 1, 4), ("B", 4, 4),
+    ("A", 1, 5), ("A", 4, 5), ("A", 1, 6), ("A", 5, 6),
+))
+
+
+def test_rule_equals_localization_oracle_at_m_1_n_minus_1_and_n():
+    # every coefficient of each space, and of the second special class
+    # wherever type D has one (n - m >= 1)
+    mismatches = []
+    checked = 0
+    for space in EXTREME_SPACES:
+        has_tilde = space.lie_type == "D" and space.n > space.m
+        for tilde in (False, True) if has_tilde else (False,):
+            for r in audit(space, tilde):
+                checked += 1
+                if r.rule != r.oracle:
+                    mismatches.append(
+                        f"{space.name()} lambda={r.lam} mu={r.mu} p={r.p} tilde={tilde}: "
+                        f"{r.rule.render()} != {r.oracle.render()}"
+                    )
+    assert not mismatches, "\n".join(mismatches)
+    assert checked == 11409
 
 
 def test_ordinary_cohomology_limit_counts_quadric_subsets():

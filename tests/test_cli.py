@@ -22,10 +22,7 @@ from hypothesis import strategies as st
 
 import eqpieri
 from eqpieri.cli import main
-from eqpieri.errors import InputError
-from eqpieri.gkm import GkmEngine
-from eqpieri.polyring import Polynomial
-from eqpieri.schubert import Space, enumerate_symbols, pieri_bound, special_class
+from eqpieri.schubert import Space, enumerate_symbols, pieri_bound
 
 
 def run_cli(capsys, *argv):
@@ -308,13 +305,12 @@ def test_every_readme_command_runs(capsys):
         assert shown is None or out == shown, (argv, out)
 
 
-# every space of torus rank <= 4 except the maximal OG(n,2n), which the
-# oracle does not cover
+# every space of torus rank <= 4, the maximal OG(n,2n) included
 SMALL_SPACES = [
     Space(lie, m, n)
     for lie in "ABCD"
     for n in range(2 if lie == "D" else 1, 5)
-    for m in range(0, n if lie == "D" else n + 1)
+    for m in range(0, n + 1)
 ]
 
 
@@ -355,47 +351,41 @@ def test_oracle_exits_cleanly_and_agrees_with_pieri(argv):
     code, out, err = call_main(["oracle", *argv])
     assert code in (0, 1, 2)
     assert "Traceback" not in err
-    if code == 0:
-        assert call_main(["pieri", *argv])[:2] == (0, out)
+    assert call_main(["pieri", *argv])[:2] == (code, out)
+
+
+def test_oracle_multiplies_by_the_special_class_on_lambdas_component(capsys):
+    # sigma_1 = {1,3} of OG(2,4) lies on the other component than {1,2};
+    # the coefficient is that of the class {1,2} on lambda's own component
+    argv = ["--type", "D", "--n", "2", "--m", "2", "--lambda", "1,2", "--mu", "1,2", "--p", "1"]
+    assert run_cli(capsys, "oracle", *argv) == (0, "-t1 - t2\n", "")
+    assert run_cli(capsys, "pieri", *argv) == (0, "-t1 - t2\n", "")
 
 
 @pytest.mark.parametrize("space", [Space("D", 2, 2), Space("D", 3, 3)],
                          ids=lambda space: space.name())
-def test_oracle_on_the_maximal_space_fails_exactly_when_the_full_expansion_does(
-        capsys, space):
-    # oracle expands only above mu, yet rejects a product that touches the
-    # opposite component exactly when the full expansion does
-    zero = Polynomial.zero(space.torus_rank)
+def test_oracle_on_the_maximal_space_prints_what_pieri_prints(capsys, space):
+    # every lambda, mu and p, valid or not, with and without --tilde
     symbols = enumerate_symbols(space)
-    outcomes = set()
-    for p in range(1, pieri_bound(space) + 1):
-        sigma = special_class(space, p)
+    codes = set()
+    for p in range(-1, pieri_bound(space) + 2):
         for lam in symbols:
-            try:
-                full, message = GkmEngine(space).product_expansion(lam, sigma), ""
-            except InputError as exc:
-                full, message = None, f"eqpieri: error: {exc}\n"
             for mu in symbols:
-                got = run_cli(capsys, "oracle", "--type", "D", "--n", str(space.n),
-                              "--m", str(space.m), "--lambda", ",".join(map(str, lam)),
-                              "--mu", ",".join(map(str, mu)), "--p", str(p))
-                if full is None:
-                    assert got == (1, "", message), (lam, mu, p)
-                else:
-                    assert got == (0, full.get(mu, zero).render() + "\n", ""), (lam, mu, p)
-                outcomes.add(got[0])
-    assert outcomes == {0, 1}
-
-
-# the rule also covers the maximal OG(n,2n), which the oracle leaves out
-EXPAND_SPACES = SMALL_SPACES + [Space("D", n, n) for n in range(2, 5)]
+                argv = ["--type", "D", "--n", str(space.n), "--m", str(space.m),
+                        "--lambda", ",".join(map(str, lam)),
+                        "--mu", ",".join(map(str, mu)), "--p", str(p)]
+                for tilde in ([], ["--tilde"]):
+                    got = run_cli(capsys, "oracle", *argv, *tilde)
+                    assert got == run_cli(capsys, "pieri", *argv, *tilde), (lam, mu, p, tilde)
+                    codes.add(got[0])
+    assert codes == {0, 1}
 
 
 @st.composite
 def expand_argv(draw):
     """An expand command line and whether its input is valid; about one draw
     in six puts lambda, p or --tilde outside the contract."""
-    space = draw(st.sampled_from(EXPAND_SPACES))
+    space = draw(st.sampled_from(SMALL_SPACES))
     bound = pieri_bound(space)
     symbols = enumerate_symbols(space)
 
@@ -427,10 +417,10 @@ def test_expand_exits_cleanly(case):
 
 @st.composite
 def rule_argv(draw):
-    """A pieri, diagram or restrict command line over EXPAND_SPACES; about
+    """A pieri, diagram or restrict command line over SMALL_SPACES; about
     one draw in six puts a symbol, p or a flag outside the contract."""
     command = draw(st.sampled_from(["pieri", "diagram", "restrict"]))
-    space = draw(st.sampled_from(EXPAND_SPACES))
+    space = draw(st.sampled_from(SMALL_SPACES))
     bound = pieri_bound(space)
 
     def rare():

@@ -69,7 +69,7 @@ def _representative(space, sym):
     lie, rank = space.lie_type, space.torus_rank
     w0 = longest_element(lie, rank)
     return minimal_representative(
-        compose(w0, symbol_to_weyl(space, sym)), parabolic_indices(space), lie
+        compose(w0, symbol_to_weyl(space, sym)), parabolic_indices(space, sym), lie
     )
 
 
@@ -121,17 +121,30 @@ def test_fixed_point_counts_match_symbol_counts():
     assert 2 * fixed_point_count(maximal) == len(enumerate_symbols(maximal))
 
 
-def test_maximal_space_rejects_the_opposite_family():
-    maximal = Space("D", 3, 3)
-    with pytest.raises(InputError, match="opposite component"):
-        symbol_to_weyl(maximal, (2, 3, 6))  # odd number of letters above the wall
+def test_maximal_space_representatives_cover_both_components():
+    # each component of OG(n,2n) is one W(D_n)-orbit: {1..n} and
+    # {1..n-1, -n}; every symbol gets a representative in W(D_n), an even
+    # number of sign changes, whose length is its codim
+    for n in range(2, 6):
+        maximal = Space("D", n, n)
+        families = set()
+        for lam in enumerate_symbols(maximal):
+            u = symbol_to_weyl(maximal, lam)
+            w = _representative(maximal, lam)
+            assert sum(1 for x in u if x < 0) % 2 == 0
+            assert sum(1 for x in w if x < 0) % 2 == 0
+            assert element_length(w, "D") == codim(maximal, lam), lam
+            families.add(parabolic_indices(maximal, lam))
+        assert len(families) == 2
+    assert symbol_to_weyl(Space("D", 3, 3), (2, 3, 6)) == (2, 3, 1)
 
 
 def _billey_restrictions(space, nu, classes):
     """The classes restricted to nu by Billey's formula, with no pruning.
 
     Walks every reduced subword of a reduced word of the representative of
-    nu, over the whole Weyl group, and returns mu -> restriction.
+    nu, over the whole Weyl group, and returns mu -> restriction; a class of
+    the other component of OG(n,2n) restricts to zero.
     """
     lie, rank = space.lie_type, space.torus_rank
     word = reduced_word(_representative(space, nu), lie)
@@ -153,24 +166,27 @@ def _billey_restrictions(space, nu, classes):
     w0 = longest_element(lie, rank)
     phi = [Polynomial.variable(abs(x), rank) * (1 if x > 0 else -1) for x in w0]
     zero = Polynomial.zero(rank)
+    own = parabolic_indices(space, nu)
     return {
         mu: sums.get(_representative(space, mu), zero).substitute(phi)
+        if parabolic_indices(space, mu) == own else zero
         for mu in classes
     }
 
 
 @pytest.mark.parametrize(
     "space",
-    # OG(2,6) and OG(3,8) have m = n-1: parabolic_indices drops two indices
-    (GR25, SG26, OG27, Space("D", 1, 4), OG26, OG38),
+    # OG(2,6) and OG(3,8) have m = n-1: parabolic_indices drops two indices;
+    # OG(3,6) and OG(4,8) are maximal, with one parabolic per component
+    (GR25, SG26, OG27, Space("D", 1, 4), OG26, OG38, Space("D", 3, 3), Space("D", 4, 4)),
     ids=lambda space: space.name(),
 )
 def test_pruned_restrictions_equal_the_full_billey_sum(space):
     engine = GkmEngine(space)
-    p_inds = parabolic_indices(space)
     symbols = enumerate_symbols(space)
     for nu in symbols:
         expected = _billey_restrictions(space, nu, symbols)
+        p_inds = parabolic_indices(space, nu)
         for x in engine._column(nu):
             assert minimal_representative(x, p_inds, space.lie_type) == x
         for mu in symbols:
@@ -267,21 +283,42 @@ def test_restrictions_satisfy_divisibility_along_edges():
                     assert diff.try_divide(Polynomial.linear(vec)) is not None
 
 
+def _products(space):
+    """(lam, sigma) pairs: the first five symbols by the first two special
+    classes, and on OG(n,2n) every symbol by each special class of both
+    families, so also the products across the components."""
+    symbols = enumerate_symbols(space)
+    if space.lie_type == "D" and space.m == space.n:
+        for lam in symbols:
+            for p in range(1, pieri_bound(space) + 1):
+                sigma = special_class(space, p)
+                yield lam, sigma
+                yield lam, swap_wall_letters(space, sigma)
+        return
+    for lam in symbols[:5]:
+        for sigma in (special_symbol(space, 1)[0], special_symbol(space, 2)[0]):
+            yield lam, sigma
+
+
 def test_product_expansions_hold_at_every_fixed_point():
     # the expansion reads only the candidate points; the identity must hold
     # at every fixed point
-    for space in (SG26, OG26, GR25, OG27, OG38):
+    checked = 0
+    for space in (SG26, OG26, GR25, OG27, OG38) + tuple(Space("D", n, n) for n in (2, 3, 4)):
         engine = GkmEngine(space)
         symbols = enumerate_symbols(space)
-        for lam in symbols[:5]:
-            for sigma in (special_symbol(space, 1)[0], special_symbol(space, 2)[0]):
-                expansion = engine.product_expansion(lam, sigma)
-                for nu in symbols:
-                    lhs = engine.restriction(lam, nu) * engine.restriction(sigma, nu)
-                    rhs = Polynomial.zero(space.torus_rank)
-                    for mu, coeff in expansion.items():
-                        rhs = rhs + coeff * engine.restriction(mu, nu)
-                    assert lhs == rhs
+        for lam, sigma in _products(space):
+            expansion = engine.product_expansion(lam, sigma)
+            for nu in symbols:
+                lhs = engine.restriction(lam, nu) * engine.restriction(sigma, nu)
+                rhs = Polynomial.zero(space.torus_rank)
+                for mu, coeff in expansion.items():
+                    rhs = rhs + coeff * engine.restriction(mu, nu)
+                assert lhs == rhs
+                checked += 1
+    # 10 products at each of the 78 points of the first five spaces; on
+    # OG(2,4), OG(3,6) and OG(4,8), 2 * bound * 4^2, 8^2 and 16^2
+    assert checked == 780 + 2 * (16 + 2 * 64 + 3 * 256)
 
 
 def _special_classes(space):
@@ -295,7 +332,7 @@ def _special_classes(space):
 @pytest.mark.parametrize(
     "space",
     (GR25, Space("C", 1, 3), SG26, Space("C", 3, 3), Space("B", 1, 3), OG27,
-     OG18, OG28, OG38),
+     OG18, OG28, OG38, Space("D", 3, 3)),
     ids=lambda space: space.name(),
 )
 def test_expansion_above_mu_is_the_full_expansion_on_the_interval(space, monkeypatch):
@@ -391,8 +428,8 @@ def test_right_ascent_equals_the_sign_of_the_moved_root(lie):
 
 
 def test_reduced_word_rejects_a_non_permutation():
-    # representative() trusts its symbol; (3, 6) is not isotropic on OG(2,8)
-    bad = GkmEngine(OG28).representative((3, 6))
+    # _coset trusts its symbol; (3, 6) is not isotropic on OG(2,8)
+    bad = GkmEngine(OG28)._coset((3, 6))[1]
     assert bad == (3, -3, 4, -2, -1)
     for w, lie in (((1, 1, 2), "B"), (bad, "D")):
         with pytest.raises(ConsistencyError, match="not a signed permutation"):

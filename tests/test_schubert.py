@@ -16,9 +16,12 @@ from eqpieri.schubert import (
     codim,
     enumerate_symbols,
     leq,
+    own_special_class,
     pieri_bound,
     preceq,
+    special_class,
     special_symbol,
+    swap_wall_letters,
     type_of,
     validate_symbol,
 )
@@ -283,6 +286,26 @@ def test_special_symbol_codim_is_p():
             assert codim(space, sym) == p, (space, p, sym)
             if p >= 1:
                 assert sym[0] == np_
+
+
+def test_own_special_class_is_on_the_component_of_lambda():
+    # only the maximal OG(n,2n) has two components; there the class of
+    # degree p is the special class or its n <-> n+1 swap, whichever has
+    # lambda's family, and it keeps codim p
+    for space in SMALL + [Space("D", 2, 2), Space("D", 3, 3), Space("D", 4, 4)]:
+        maximal = space.lie_type == "D" and space.m == space.n
+        for p in range(0, pieri_bound(space) + 1):
+            special = special_class(space, p)
+            for lam in enumerate_symbols(space):
+                sigma = own_special_class(space, lam, p, False)
+                assert codim(space, sigma) == p
+                if maximal:
+                    assert type_of(space, sigma) == type_of(space, lam)
+                    assert sigma in (special, swap_wall_letters(space, special))
+                else:
+                    assert sigma == special
+    assert own_special_class(Space("D", 2, 2), (1, 2), 1, False) == (1, 2)
+    assert own_special_class(Space("D", 2, 2), (2, 4), 1, False) == (1, 3)
 
 
 def test_fundamental_class_is_first():
