@@ -208,12 +208,8 @@ def _cmd_oracle(args) -> int:
     lam = validate_symbol(space, args.lam)
     mu = validate_symbol(space, args.mu)
     sigma = own_special_class(space, lam, args.p, args.tilde)
-    nvars = space.torus_rank
-    if args.p == 0:
-        value = Polynomial.one(nvars) if lam == mu else Polynomial.zero(nvars)
-    else:
-        expansion = GkmEngine(space).product_expansion(lam, sigma, mu)
-        value = expansion.get(mu, Polynomial.zero(nvars))
+    expansion = GkmEngine(space).product_expansion(lam, sigma, mu)
+    value = expansion.get(mu, Polynomial.zero(space.torus_rank))
     if args.json:
         _json_print({"coefficient": value.to_json_dict()})
     else:

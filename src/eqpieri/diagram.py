@@ -243,8 +243,10 @@ def build(
 ) -> PieriDiagram:
     """Assemble the reduction data; see the module docstring.
 
-    chat picks the column dropped from Q when one is dropped (types B, D;
-    default: the smallest).  pivot replaces Q as the sum set in type C.
+    Type A takes the same steps with no cuts and an empty Q, and always
+    lands on the restriction branch.  chat picks the column dropped from Q
+    when one is dropped (types B, D; default: the smallest).  pivot
+    replaces Q as the sum set in type C.
     """
     lam = validate_symbol(space, lam)
     mu = validate_symbol(space, mu)
@@ -266,27 +268,14 @@ def build(
     zeros = zero_columns(space, lam, mu)
     L = l_columns(space, lam, mu)
     p_prime = _codim(space, lam) + p - _codim(space, mu)
-
-    if t == "A":
-        nu = tuple(c for c in range(1, N + 1) if c not in L)
-        diag = PieriDiagram(
-            space, lam, mu, p, has_arrow, zeros, None, L,
-            (), (), None, (), nu, len(nu), p_prime, "restriction",
-        )
-        if has_arrow and p_prime != m + p - diag.m_prime:
-            raise ConsistencyError("p' does not match m + p - m'")
-        return diag
-
-    cuts = cut_columns(space, lam, mu)
-    Q = q_columns(space, lam, mu)
+    cuts = None if t == "A" else cut_columns(space, lam, mu)
+    Q = () if t == "A" else q_columns(space, lam, mu)
     nu = tuple(c for c in range(1, N + 1) if c not in L)
 
-    if t == "C":
-        drop = False
-    elif t == "B":
+    if t == "B":
         drop = bool(Q) and p > n - m
     else:
-        drop = bool(Q) and p >= n - m
+        drop = t == "D" and bool(Q) and p >= n - m
 
     dropped = None
     if drop:
@@ -297,7 +286,9 @@ def build(
         raise InputError("no column is dropped from Q for these inputs")
     Qprime = tuple(c for c in Q if c != dropped)
 
-    if t == "B" and p > n - m and not Q:
+    if t == "A":
+        branch = "restriction"
+    elif t == "B" and p > n - m and not Q:
         branch = "halving"
     elif t == "D" and p >= n - m and not Q:
         branch = "orthogonal_restriction"
@@ -327,9 +318,9 @@ def build(
         Q, Qprime, dropped, sum_set, nu, m_prime, p_prime, branch,
     )
 
-    # invariants of the construction
+    # invariants of the construction; type A reduces pairs without the arrow
     expected_bump = 1 if drop else 0
-    if p_prime != m + p - m_prime + expected_bump:
+    if has_arrow and p_prime != m + p - m_prime + expected_bump:
         raise ConsistencyError(
             f"p' = {p_prime} does not match m + p - m' (+{expected_bump})"
         )

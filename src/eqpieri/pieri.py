@@ -26,12 +26,17 @@ attached to the opposite family of maximal isotropic subspaces.  Its
 coefficients (the "tilde" variant) are obtained by swapping the letters
 n <-> n+1 in lambda and mu and twisting the result by t_n -> -t_n.
 
-The subset terms of the sum branch are evaluated and reduced in subset order.
+Outside the orthogonal restriction the branches differ only in their type A
+terms: the one term nu, the terms nu_I in subset order, or the one term nu+.
+compute_pieri sums the terms' restriction coefficients in one loop, through
+the specialization outside type A, and halves exactly on the halving branch.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .diagram import PieriDiagram, _arrow, build, iter_subsets
@@ -51,11 +56,12 @@ from .schubert import (
 )
 
 
-def specialization_images(space: Space) -> List[Polynomial]:
+@lru_cache(maxsize=None)
+def specialization_images(space: Space) -> Tuple[Polynomial, ...]:
     """Images of the N ambient weights under the folding specialization.
 
     t_j -> t_j for j <= n and t_j -> -t_{N+1-j} for j above the fold; in
-    type B the middle weight t_{n+1} is sent to zero.
+    type B the middle weight t_{n+1} is sent to zero.  Built once per space.
     """
     if space.lie_type == "A":
         raise InputError("type A coefficients are never specialized")
@@ -68,7 +74,7 @@ def specialization_images(space: Space) -> List[Polynomial]:
             images.append(Polynomial.zero(n))
         else:
             images.append(-Polynomial.variable(N + 1 - j, n))
-    return images
+    return tuple(images)
 
 
 @dataclass(frozen=True)
@@ -144,38 +150,32 @@ def compute_pieri(
             space, lam, mu, p, False, None, [], Polynomial.zero(nvars)
         )
     d = build(space, lam, mu, p, chat=chat, pivot=pivot)
-    N = space.ambient
-    if d.branch == "restriction":
-        inner_space = Space("A", d.m_prime, N)
-        value = restriction_coefficient(inner_space, d.nu, d.p_prime)
-        terms = [PieriTerm(None, inner_space, d.nu, d.p_prime)]
-        return PieriComputation(space, lam, mu, p, False, d, terms, value)
-    if d.branch == "sum":
-        images = specialization_images(space)
-        inner_space = Space("A", d.m_prime, N)
-        terms = [
-            PieriTerm(I, inner_space, d.nu_I(I), d.p_prime) for I in iter_subsets(d.sum_set)
-        ]
-        value = Polynomial.zero(space.n)
-        for term in terms:
-            value = value + restriction_coefficient(inner_space, term.nu, term.p, images)
-        return PieriComputation(space, lam, mu, p, False, d, terms, value)
-    if d.branch == "halving":
-        inner_space = Space("A", d.m_prime + 1, N)
-        term = PieriTerm(None, inner_space, d.nu_plus(), d.p_prime)
-        specialized = restriction_coefficient(
-            inner_space, term.nu, term.p, specialization_images(space)
-        )
-        value = specialized.divide_exact(
-            Polynomial.constant(2, space.n),
-            f"the halving branch for lambda={list(lam)}, mu={list(mu)}, p={p}",
-        )
-        return PieriComputation(space, lam, mu, p, False, d, [term], value)
     if d.branch == "orthogonal_restriction":
-        inner_space = Space("D", d.m_prime, space.n)
-        value = type_d_restriction(inner_space, d.nu, d.p_prime)
-        return PieriComputation(space, lam, mu, p, False, d, [], value)
-    raise ConsistencyError(f"unknown reduction branch {d.branch!r}")
+        terms: List[PieriTerm] = []
+        value = type_d_restriction(Space("D", d.m_prime, space.n), d.nu, d.p_prime)
+    elif d.branch in ("restriction", "sum", "halving"):
+        if d.branch == "halving":
+            symbols = [(None, d.nu_plus())]
+        else:  # type A's restriction: the one subset () of the empty sum set
+            symbols = [
+                (I if d.branch == "sum" else None, d.nu_I(I)) for I in iter_subsets(d.sum_set)
+            ]
+        images = None if space.lie_type == "A" else specialization_images(space)
+        terms = [
+            PieriTerm(I, Space("A", len(nu), space.ambient), nu, d.p_prime)
+            for I, nu in symbols
+        ]
+        value = Polynomial.zero(nvars)
+        for term in terms:
+            value = value + restriction_coefficient(term.inner_space, term.nu, term.p, images)
+        if d.branch == "halving":
+            value = value.divide_exact(
+                Polynomial.constant(2, nvars),
+                f"the halving branch for lambda={list(lam)}, mu={list(mu)}, p={p}",
+            )
+    else:
+        raise ConsistencyError(f"unknown reduction branch {d.branch!r}")
+    return PieriComputation(space, lam, mu, p, False, d, terms, value)
 
 
 def pieri_coefficient(
@@ -197,24 +197,24 @@ def pieri_expansion(
 ) -> Dict[Symbol, Polynomial]:
     """All nonzero coefficients of the product with the special class.
 
-    Only the mu that pass compute_pieri's own zero gate are evaluated: mu = lam
-    when p = 0, else lambda -> mu with codim mu <= codim lambda + p, both read
-    on the swapped letters with tilde.  The swap n <-> n+1 keeps codim, so
-    the walk over the graded symbols stops at the first codim above the window.
+    Only the mu that pass compute_pieri's own zero gate are evaluated:
+    lambda -> mu with codim lambda <= codim mu <= codim lambda + p, both read
+    on the swapped letters with tilde.  The arrow implies the lower bound, and
+    at codim lambda it holds only for mu = lambda, which covers p = 0.  The
+    swap n <-> n+1 keeps codim, so the walk covers one window of the graded
+    symbols.
     """
     lam = validate_symbol(space, lam)
     p = int(p)
     special_class(space, p, tilde)
     gate_lam = swap_wall_letters(space, lam) if tilde else lam
-    top = _codim(space, lam) + p
+    low = _codim(space, lam)
+    graded = _graded_symbols(space)
     out: Dict[Symbol, Polynomial] = {}
-    for c, mu in _graded_symbols(space):
-        if c > top:
+    for c, mu in graded[bisect_left(graded, (low,)):]:
+        if c > low + p:
             break
-        if p == 0:
-            if mu != lam:
-                continue
-        elif not _arrow(space, gate_lam, swap_wall_letters(space, mu) if tilde else mu):
+        if not _arrow(space, gate_lam, swap_wall_letters(space, mu) if tilde else mu):
             continue
         value = pieri_coefficient(space, lam, mu, p, tilde=tilde)
         if not value.is_zero:

@@ -401,11 +401,6 @@ class RootBasis:
     def denominator_scale(self) -> int:
         return 2 if self.lie_type in ("C", "D") else 1
 
-    @property
-    def num_basis_vars(self) -> int:
-        # type A uses v_1..v_(n-1) plus the slack variable w
-        return self.n
-
     def basis_var_names(self):
         if self.lie_type == "A":
             return [f"v{i}" for i in range(1, self.n)] + ["w"]
@@ -413,8 +408,7 @@ class RootBasis:
 
     def scaled_t_images(self):
         """Images of denominator_scale * t_i as polynomials in the basis vars."""
-        n = self.n
-        k = self.num_basis_vars
+        n = k = self.n  # type A uses v_1..v_(n-1) plus the slack variable w
         images = []
         if self.lie_type == "A":
             for i in range(1, n + 1):
@@ -515,13 +509,7 @@ def root_positivity_certificate(p: Polynomial, basis: RootBasis) -> PositivityCe
         )
     if p.is_zero:
         return PositivityCertificate(
-            ok=True,
-            lie_type=basis.lie_type,
-            n=basis.n,
-            degree=0,
-            scale=1,
-            expansion=Polynomial.zero(basis.num_basis_vars),
-            failure=None,
+            True, basis.lie_type, basis.n, 0, 1, Polynomial.zero(basis.n), None
         )
     if not p.is_homogeneous():
         raise InputError("positivity certificates require homogeneous input")
@@ -530,32 +518,25 @@ def root_positivity_certificate(p: Polynomial, basis: RootBasis) -> PositivityCe
     scaled = sorted(p.substitute(basis.scaled_t_images())._terms.items(), reverse=True)
     names = basis.basis_var_names()
 
-    def monomial_name(key):
-        return Polynomial._of(basis.num_basis_vars, {key: 1}).render(names=names)
+    def failed(problem, key):
+        monomial = Polynomial._of(basis.n, {key: 1}).render(names=names)
+        return PositivityCertificate(
+            False, basis.lie_type, basis.n, degree, scale, None, problem.format(monomial)
+        )
 
     if basis.lie_type == "A":
         # the slack variable w is the last one, in the lowest field
-        for key, coeff in scaled:
+        for key, _ in scaled:
             if key & _MASK:
-                return PositivityCertificate(
-                    False, basis.lie_type, basis.n, degree, scale, None,
-                    f"term {monomial_name(key)} lies outside the root span",
-                )
+                return failed("term {} lies outside the root span", key)
     terms = {}
     for key, coeff in scaled:
         if coeff < 0:
-            return PositivityCertificate(
-                False, basis.lie_type, basis.n, degree, scale, None,
-                f"negative coefficient {coeff} on {monomial_name(key)}",
-            )
+            return failed(f"negative coefficient {coeff} on {{}}", key)
         if coeff % scale != 0:
-            return PositivityCertificate(
-                False, basis.lie_type, basis.n, degree, scale, None,
-                f"coefficient {coeff} on {monomial_name(key)} "
-                f"not divisible by {scale}",
-            )
+            return failed(f"coefficient {coeff} on {{}} not divisible by {scale}", key)
         terms[key] = coeff // scale
-    expansion = Polynomial._of(basis.num_basis_vars, terms)
+    expansion = Polynomial._of(basis.n, terms)
     return PositivityCertificate(
         True, basis.lie_type, basis.n, degree, scale, expansion, None
     )

@@ -18,7 +18,8 @@ In type D the even orthogonal Grassmannian OG(n, 2n) of maximal isotropic
 planes has two connected components; symbols are taken at face value and
 enumerate both, with type_of() separating them (type 1 vs type 2).  The
 partial order preceq() refines the componentwise order leq() by a type
-condition and agrees with leq() in types A, B, C.
+condition, relates no two symbols on different components of OG(n, 2n),
+and agrees with leq() in types A, B, C.
 
 Symbols are checked once, where they enter the package: codim(), leq() and
 preceq() validate and call private cores, which trust symbols the package
@@ -175,6 +176,8 @@ def _preceq(space: Space, mu: Symbol, lam: Symbol) -> bool:
     if space.lie_type != "D":
         return True
     n = space.n
+    if space.m == n:
+        return type_of(space, lam) == type_of(space, mu)
     common = closure(space, lam) & closure(space, mu)
     for c in range(1, n):
         if all(x in common for x in range(c + 1, n + 1)) and sum(

@@ -381,6 +381,20 @@ def test_oracle_on_the_maximal_space_prints_what_pieri_prints(capsys, space):
     assert codes == {0, 1}
 
 
+@pytest.mark.parametrize("space", [Space("D", 2, 4), Space("D", 3, 3)],
+                         ids=lambda space: space.name())
+def test_oracle_by_the_fundamental_class_prints_what_pieri_prints(capsys, space):
+    # the oracle expands the product with the fundamental class like any other
+    for lam in enumerate_symbols(space):
+        for mu in enumerate_symbols(space):
+            argv = ["--type", "D", "--n", str(space.n), "--m", str(space.m),
+                    "--lambda", ",".join(map(str, lam)),
+                    "--mu", ",".join(map(str, mu)), "--p", "0"]
+            for tilde in ([], ["--tilde"]):
+                got = run_cli(capsys, "oracle", *argv, *tilde)
+                assert got == run_cli(capsys, "pieri", *argv, *tilde), (lam, mu, tilde)
+
+
 @st.composite
 def expand_argv(draw):
     """An expand command line and whether its input is valid; about one draw

@@ -211,7 +211,9 @@ def test_maximal_type_d_restriction_equals_the_reference_by_swap_and_twist():
 
 
 OG18 = Space("D", 1, 4)
-ORDER_SPACES = (GR25, SG26, OG27, OG26, OG18, OG28, OG38)
+# the maximal OG(n,2n) included: no symbol lies below one on the other component
+ORDER_SPACES = (GR25, SG26, OG27, OG26, OG18, OG28, OG38,
+                Space("D", 2, 2), Space("D", 3, 3), Space("D", 4, 4), Space("D", 5, 5))
 
 
 def _above(space, symbols):

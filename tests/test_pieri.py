@@ -1,6 +1,10 @@
 """Structure coefficients: worked values, invariants, and branch behavior."""
 
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eqpieri.pieri
 from eqpieri.diagram import arrow, build
@@ -192,6 +196,42 @@ def test_pivot_choice_does_not_matter():
         assert len(values) == 1
 
 
+# every isotropic space of rank 3 to 5, beyond the acceptance test's SMALL_SUITE
+CHOICE_SPACES = [Space(lie, m, n) for lie in "BCD" for n in (3, 4, 5) for m in range(1, n + 1)]
+
+
+@st.composite
+def gated_pairs(draw):
+    """(space, lambda, mu, p) with p >= 1 that pass compute_pieri's zero gate,
+    mostly with a dropped column or a pivot set to choose."""
+    space = draw(st.sampled_from(CHOICE_SPACES))
+    symbols = enumerate_symbols(space)
+    lam = draw(st.sampled_from(symbols))
+    p = draw(st.integers(1, pieri_bound(space)))
+    top = codim(space, lam) + p
+    gated = [mu for mu in symbols if arrow(space, lam, mu) and codim(space, mu) <= top]
+    chosen = [mu for mu in gated if (d := build(space, lam, mu, p)).dropped is not None
+              or (space.lie_type == "C" and d.Q)]
+    if chosen and draw(st.integers(0, 3)):
+        gated = chosen
+    return space, lam, draw(st.sampled_from(gated)), p
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(gated_pairs())
+def test_every_dropped_column_and_pivot_set_gives_the_default_value(case):
+    space, lam, mu, p = case
+    d = build(space, lam, mu, p)
+    default = pieri_coefficient(space, lam, mu, p)
+    if d.dropped is not None:
+        for chat in d.Q:
+            assert pieri_coefficient(space, lam, mu, p, chat=chat) == default, chat
+    if space.lie_type == "C":
+        mirrored = [c for c in range(1, space.n + 1) if {c, space.ambient + 1 - c} <= set(d.nu)]
+        for pivot in combinations(mirrored, len(d.Q)):
+            assert pieri_coefficient(space, lam, mu, p, pivot=pivot) == default, pivot
+
+
 def test_chevalley_degree_matches_localization():
     for space in (Space("A", 2, 5), SG26, OG26):
         engine = GkmEngine(space)
@@ -284,6 +324,18 @@ def test_expansion_is_every_nonzero_coefficient_in_symbol_order():
                     ]
                     computed = pieri_expansion(space, lam, p, tilde=tilde)
                     assert list(computed.items()) == expected, (space, lam, p, tilde)
+
+
+def test_expansion_by_the_fundamental_class_is_lambda_itself():
+    # pieri_expansion walks up from codim lambda with no p = 0 case: at codim
+    # lambda only mu = lambda passes lambda -> mu
+    for lie in "ABCD":
+        for n in range(2 if lie == "D" else 1, 6 if lie == "A" else 5):
+            for m in range(n + 1):
+                space = Space(lie, m, n)
+                one = Polynomial.one(space.torus_rank)
+                for lam in enumerate_symbols(space):
+                    assert pieri_expansion(space, lam, 0) == {lam: one}, (space, lam)
 
 
 def test_expansion_evaluates_only_the_gate_survivors(monkeypatch):
