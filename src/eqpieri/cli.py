@@ -45,11 +45,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _symbol_argument(text: str) -> tuple:
+    """Comma-separated integers; a blank text is the empty symbol of m = 0."""
     try:
-        parts = tuple(int(piece) for piece in text.split(",") if piece.strip() != "")
+        return tuple(int(piece) for piece in text.split(",")) if text.strip() else ()
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated symbol")
-    return parts
 
 
 def _space_from(args) -> Space:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional, Tuple
 
-from .errors import ConsistencyError, InputError
+from .errors import ConsistencyError, InputError, as_int
 from .schubert import (
     Space,
     Symbol,
@@ -73,8 +73,7 @@ def cut_columns(space: Space, lam: Symbol, mu: Symbol) -> frozenset:
     return frozenset(c for c in range(N + 1) if c in direct or N - c in direct)
 
 
-def q_columns(space: Space, lam: Symbol, mu: Symbol) -> Tuple[int, ...]:
-    cuts = cut_columns(space, lam, mu)
+def q_columns(space: Space, cuts: frozenset) -> Tuple[int, ...]:
     n = space.n
     if space.lie_type == "C":
         top = None
@@ -92,10 +91,10 @@ def q_columns(space: Space, lam: Symbol, mu: Symbol) -> Tuple[int, ...]:
     )
 
 
-def l_columns(space: Space, lam: Symbol, mu: Symbol) -> frozenset:
-    out = set(zero_columns(space, lam, mu))
+def l_columns(space: Space, lam: Symbol, mu: Symbol, zeros: frozenset) -> frozenset:
     if space.lie_type == "A":
-        return frozenset(out)
+        return zeros
+    out = set(zeros)
     N = space.ambient
     n, m = space.n, space.m
     for j in range(m):
@@ -175,7 +174,7 @@ class PieriDiagram:
 
     def nu_I(self, I) -> Symbol:
         """nu with I and the mirrors of sum_set - I removed."""
-        I = frozenset(int(c) for c in I)
+        I = frozenset(as_int(c, "column of I") for c in I)
         S = frozenset(self.sum_set)
         if not I <= S:
             raise InputError(f"I = {sorted(I)} is not a subset of {list(self.sum_set)}")
@@ -266,10 +265,10 @@ def build(
         raise InputError("pivot replacement only applies to symplectic spaces")
 
     zeros = zero_columns(space, lam, mu)
-    L = l_columns(space, lam, mu)
+    L = l_columns(space, lam, mu, zeros)
     p_prime = _codim(space, lam) + p - _codim(space, mu)
     cuts = None if t == "A" else cut_columns(space, lam, mu)
-    Q = () if t == "A" else q_columns(space, lam, mu)
+    Q = () if t == "A" else q_columns(space, cuts)
     nu = tuple(c for c in range(1, N + 1) if c not in L)
 
     if t == "B":
@@ -279,7 +278,7 @@ def build(
 
     dropped = None
     if drop:
-        dropped = min(Q) if chat is None else int(chat)
+        dropped = min(Q) if chat is None else as_int(chat, "chat")
         if dropped not in Q:
             raise InputError(f"chat = {dropped} is not in Q = {list(Q)}")
     elif chat is not None:
@@ -297,7 +296,7 @@ def build(
 
     sum_set = Qprime if branch == "sum" else ()
     if pivot is not None:
-        pivot = tuple(sorted(int(c) for c in pivot))
+        pivot = tuple(sorted(as_int(c, "pivot column") for c in pivot))
         if len(set(pivot)) != len(pivot):
             raise InputError("pivot columns must be distinct")
         if len(pivot) != len(Q):

@@ -126,7 +126,6 @@ def compute_pieri(
     """N^mu_{lambda,p} with full provenance."""
     lam = validate_symbol(space, lam)
     mu = validate_symbol(space, mu)
-    p = int(p)
     special_class(space, p, tilde)
     nvars = space.torus_rank
     if tilde:
@@ -205,7 +204,6 @@ def pieri_expansion(
     symbols.
     """
     lam = validate_symbol(space, lam)
-    p = int(p)
     special_class(space, p, tilde)
     gate_lam = swap_wall_letters(space, lam) if tilde else lam
     low = _codim(space, lam)

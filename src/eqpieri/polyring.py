@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .errors import ConsistencyError, InputError
+from .errors import ConsistencyError, InputError, as_int
 
 
 _WIDTH = 16
@@ -66,10 +66,10 @@ class Polynomial:
         clean = {}
         if terms:
             for exp, coeff in terms.items():
-                coeff = int(coeff)
+                coeff = as_int(coeff, "coefficient")
                 if coeff == 0:
                     continue
-                exp = tuple(int(e) for e in exp)
+                exp = tuple(as_int(e, "exponent") for e in exp)
                 if len(exp) != nvars:
                     raise InputError(
                         f"exponent vector {exp} has length {len(exp)}, expected {nvars}"
@@ -219,7 +219,7 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    # -- substitution and evaluation ----------------------------------------
+    # -- substitution -------------------------------------------------------
 
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Replace variable i by images[i] (all images in a common ring).
@@ -257,19 +257,6 @@ class Polynomial:
             return acc
 
         return fold(list(self._terms.items()), 0)
-
-    def evaluate(self, values: Sequence):
-        """Evaluate at a point (ints or Fractions); exact."""
-        if len(values) != self.nvars:
-            raise InputError(f"need {self.nvars} values, got {len(values)}")
-        total = 0
-        for exp, coeff in self.terms.items():
-            term = coeff
-            for v, e in zip(values, exp):
-                if e:
-                    term = term * v**e
-            total = total + term
-        return total
 
     # -- division ------------------------------------------------------------
 
@@ -443,32 +430,6 @@ class RootBasis:
             coeffs[n - 1] = -1
             images.append(Polynomial.linear(coeffs))
         return images
-
-    def negated_simple_roots(self):
-        """v_i = -alpha_i as polynomials in t_1..t_n (plus w = t_1 for A)."""
-        n = self.n
-        roots = []
-        for i in range(1, n):
-            coeffs = [0] * n
-            coeffs[i - 1] = -1
-            coeffs[i] = 1
-            roots.append(Polynomial.linear(coeffs))
-        if self.lie_type == "A":
-            roots.append(Polynomial.variable(1, n))  # w round-trips as t_1
-        elif self.lie_type == "B":
-            coeffs = [0] * n
-            coeffs[n - 1] = -1
-            roots.append(Polynomial.linear(coeffs))
-        elif self.lie_type == "C":
-            coeffs = [0] * n
-            coeffs[n - 1] = -2
-            roots.append(Polynomial.linear(coeffs))
-        else:  # D: the second-to-last entry built above is -(t_(n-1)-t_n)
-            coeffs = [0] * n
-            coeffs[n - 2] = -1
-            coeffs[n - 1] = -1
-            roots.append(Polynomial.linear(coeffs))
-        return roots
 
 
 @dataclass

@@ -26,7 +26,8 @@ subwords of length i ending at or before c,
                                                    c = i .. r+i-1,
 
 and the coefficient is S_p(p+r-1): p*r products of a polynomial with one
-linear factor.  Every S_i(c) is a sum of products of the same factors
+linear factor.  restriction_coefficient reads a and b off nu and runs these
+rows itself.  Every S_i(c) is a sum of products of the same factors
 t_j - t_i with i < j, so the value stays manifestly positive.  The subword
 sum comes from evaluating a partial-fraction identity proved by
 schur_identity_check below, which callers can replay at random integer
@@ -35,76 +36,19 @@ points with exact rational arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence, Tuple
+from typing import Sequence
 
-from .errors import InputError
+from .errors import ConsistencyError, InputError
 from .polyring import Polynomial
-from .schubert import Space, Symbol, validate_symbol
-
-
-@dataclass(frozen=True)
-class RestrictionInstance:
-    """The index data of one restriction coefficient on Gr(m, N), p >= 1."""
-
-    N: int
-    m: int
-    nu: Tuple[int, ...]
-    p: int
-    I1: Tuple[int, ...]
-    I2: Tuple[int, ...]
-    a: Tuple[int, ...]
-    b: Tuple[int, ...]
-
-    @property
-    def r(self) -> int:
-        return len(self.a)
-
-
-def restriction_instance(space: Space, nu: Symbol, p: int) -> RestrictionInstance:
-    if space.lie_type != "A":
-        raise InputError("restriction instances live on type A spaces")
-    if p < 1:
-        raise InputError("restriction instances need p >= 1")
-    N, m = space.n, space.m
-    split = N - m - p + 1
-    I1 = tuple(range(1, max(split, 0) + 1))
-    I2 = tuple(range(max(split, 0) + 1, N + 1))
-    nu_set = set(nu)
-    a = tuple(c for c in I1 if c in nu_set)
-    b = tuple(c for c in I2 if c not in nu_set)
-    inst = RestrictionInstance(N, m, nu, p, I1, I2, a, b)
-    if len(b) != p + inst.r - 1:
-        raise InputError(
-            f"instance has {len(b)} upper gaps, expected {p + inst.r - 1}"
-        )
-    return inst
-
-
-def instance_value(inst: RestrictionInstance, images: Sequence[Polynomial]) -> Polynomial:
-    """The subword sum with t_j replaced by images[j-1] in every factor.
-
-    Row i holds S_i(c) for c = i..r+i-1, built from row i-1 by the recursion
-    in the module docstring; the last entry of row p is the sum.
-    """
-    a, b, r = inst.a, inst.b, inst.r
-    nvars = images[0].nvars
-    if r == 0:
-        return Polynomial.zero(nvars)
-    row = [Polynomial.one(nvars)] * r
-    for i in range(inst.p):
-        total = Polynomial.zero(nvars)
-        for j in range(r):
-            total = total + row[j] * (images[b[i + j] - 1] - images[a[j] - 1])
-            row[j] = total
-    return row[-1]
+from .schubert import Space, validate_symbol
 
 
 def restriction_coefficient(space: Space, nu, p: int, images=None) -> Polynomial:
     """N^nu_{nu,p} on Gr(m, N) as a polynomial in N torus parameters.
 
+    a and b are read off nu here, and row i holds S_i(c) for c = i..r+i-1.
     With images, t_j is sent to images[j-1] in each linear factor before the
     factors are multiplied, which is the same as substituting them into the
     result; the value then lies in the images' ring.
@@ -122,7 +66,21 @@ def restriction_coefficient(space: Space, nu, p: int, images=None) -> Polynomial
         return Polynomial.zero(nvars)
     if p == 0:
         return Polynomial.one(nvars)
-    return instance_value(restriction_instance(space, nu, p), images)
+    split = N - space.m - p + 1  # at least 1, since p <= N - m
+    a = [c for c in nu if c <= split]
+    b = [c for c in range(split + 1, N + 1) if c not in nu]
+    r = len(a)
+    if len(b) != p + r - 1:
+        raise ConsistencyError(f"nu = {list(nu)} has {len(b)} upper gaps, expected {p + r - 1}")
+    if r == 0:
+        return Polynomial.zero(nvars)
+    row = [Polynomial.one(nvars)] * r
+    for i in range(p):
+        total = Polynomial.zero(nvars)
+        for j in range(r):
+            total = total + row[j] * (images[b[i + j] - 1] - images[a[j] - 1])
+            row[j] = total
+    return row[-1]
 
 
 def schur_identity_check(xs: Sequence, ys: Sequence) -> bool:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import List, Sequence, Tuple
 
-from .errors import InputError
+from .errors import InputError, as_int
 from .polyring import Polynomial
 
 Symbol = Tuple[int, ...]
@@ -51,11 +51,11 @@ class Space:
     def __post_init__(self):
         if self.lie_type not in ("A", "B", "C", "D"):
             raise InputError(f"unknown Lie type {self.lie_type!r}")
-        if self.n < 1:
+        if as_int(self.n, "n") < 1:
             raise InputError("n must be at least 1")
         if self.lie_type == "D" and self.n < 2:
             raise InputError("even orthogonal spaces need n >= 2")
-        if not 0 <= self.m <= self.n:
+        if not 0 <= as_int(self.m, "m") <= self.n:
             raise InputError(
                 f"m = {self.m} outside [0, {self.n}] for type {self.lie_type}"
             )
@@ -90,13 +90,10 @@ class Space:
             return f"SG({self.m},{2 * self.n})"
         return f"OG({self.m},{self.ambient})"
 
-    def __str__(self):
-        return f"{self.name()} [type {self.lie_type}]"
-
 
 def validate_symbol(space: Space, lam: Sequence[int]) -> Symbol:
     """Normalize to a tuple and reject anything that is not a symbol."""
-    lam = tuple(int(x) for x in lam)
+    lam = tuple(as_int(x, "symbol entry") for x in lam)
     if len(lam) != space.m:
         raise InputError(
             f"symbol {list(lam)} has {len(lam)} parts, expected m = {space.m}"
@@ -219,6 +216,7 @@ def special_class(space: Space, p: int, tilde: bool = False) -> Symbol:
     p = n - m: the letters n <-> n+1 of the first one swapped.  p = 0 gives
     the fundamental class.
     """
+    p = as_int(p, "p")
     bound = pieri_bound(space)
     if not 0 <= p <= bound:
         raise InputError(f"p = {p} is outside the special-class range [0, {bound}]")

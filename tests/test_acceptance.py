@@ -23,7 +23,7 @@ from collections import Counter
 from itertools import combinations
 
 from eqpieri.audit import SMALL_SUITE, audit, identity_failures
-from eqpieri.diagram import build, l_columns, q_columns
+from eqpieri.diagram import build, cut_columns, l_columns, q_columns, zero_columns
 from eqpieri.pieri import compute_pieri, pieri_coefficient, positivity_certificate
 from eqpieri.polyring import Polynomial
 from eqpieri.restrict_a import restriction_coefficient
@@ -235,9 +235,9 @@ def family_condition(space, lam, mu, p, special):
     n = space.n
     if (space.lie_type != "D" or p != n - space.m
             or codim(space, mu) != codim(space, lam) + p
-            or q_columns(space, lam, mu)):
+            or q_columns(space, cut_columns(space, lam, mu))):
         return None
-    L = l_columns(space, lam, mu)
+    L = l_columns(space, lam, mu, zero_columns(space, lam, mu))
     nu = tuple(c for c in range(1, 2 * n + 1) if c not in L)
     return type_of(Space("D", n, n), nu) == type_of(space, special)
 

@@ -116,6 +116,28 @@ def test_bad_flag_usage_exits_one(capsys):
         assert info.value.code == 1, argv
 
 
+@pytest.mark.parametrize("text", ["2,,4,8", "2,4,8,", ",2,4,8", "2, ,4,8"])
+def test_an_empty_piece_of_a_symbol_is_a_usage_error(capsys, text):
+    # the symbol without the empty piece, 2,4,8, is valid: nothing is dropped
+    with pytest.raises(SystemExit) as info:
+        main(["pieri", "--type", "C", "--n", "4", "--m", "3",
+              "--lambda", text, "--mu", "1,3,5", "--p", "5"])
+    assert info.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"eqpieri pieri: error: argument --lambda: "
+                   f"{text!r} is not a comma-separated symbol\n")
+
+
+@pytest.mark.parametrize("text", ["", " "])
+def test_a_blank_symbol_is_the_empty_symbol_of_m_zero(capsys, text):
+    code, out, err = run_cli(
+        capsys, "pieri", "--type", "C", "--n", "3", "--m", "0",
+        "--lambda", text, "--mu", text, "--p", "0",
+    )
+    assert (code, out, err) == (0, "1\n", "")
+
+
 def test_tilde_outside_type_d_exits_one(capsys):
     code, _, err = run_cli(
         capsys, "pieri", "--type", "B", "--n", "3", "--m", "2",

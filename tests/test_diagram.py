@@ -47,8 +47,8 @@ def test_type_a_arrow():
 def test_symplectic_worked_pair():
     lam, mu = (2, 4, 8), (1, 3, 5)
     assert cut_columns(SG38, lam, mu) == frozenset({0, 2, 4, 6, 8})
-    assert q_columns(SG38, lam, mu) == (2, 4)
-    assert l_columns(SG38, lam, mu) == frozenset()
+    assert q_columns(SG38, cut_columns(SG38, lam, mu)) == (2, 4)
+    assert l_columns(SG38, lam, mu, zero_columns(SG38, lam, mu)) == frozenset()
     d = build(SG38, lam, mu, 5)
     assert d.branch == "sum"
     assert d.nu == tuple(range(1, 9))
@@ -72,8 +72,8 @@ def test_odd_orthogonal_halving_pair():
     lam, mu = (3, 6), (1, 6)
     assert zero_columns(OG27, lam, mu) == frozenset({4, 5, 7})
     assert cut_columns(OG27, lam, mu) == frozenset(range(8))
-    assert q_columns(OG27, lam, mu) == ()
-    assert l_columns(OG27, lam, mu) == frozenset({2, 4, 5, 7})
+    assert q_columns(OG27, cut_columns(OG27, lam, mu)) == ()
+    assert l_columns(OG27, lam, mu, zero_columns(OG27, lam, mu)) == frozenset({2, 4, 5, 7})
     d = build(OG27, lam, mu, 3)
     assert d.branch == "halving"
     assert d.nu == (1, 3, 6)

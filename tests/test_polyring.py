@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqpieri.errors import ConsistencyError, InputError
+from eqpieri.gkm import alpha_vector
 from eqpieri.pieri import pieri_coefficient, positivity_certificate
 from eqpieri.polyring import (
     _LIMIT,
@@ -42,7 +43,7 @@ def test_construction_drops_zeros_and_validates():
     assert Polynomial.one(3).terms.get((0, 0, 0), 0) == 1
 
 
-def test_ring_laws_at_random_points():
+def test_ring_laws_at_random_points(evaluate):
     rng = random.Random(20260815)
     for _ in range(200):
         nvars = rng.randint(1, 4)
@@ -50,25 +51,25 @@ def test_ring_laws_at_random_points():
         q = random_poly(rng, nvars)
         r = random_poly(rng, nvars)
         point = [rng.randint(-5, 5) for _ in range(nvars)]
-        pv, qv, rv = p.evaluate(point), q.evaluate(point), r.evaluate(point)
-        assert (p + q).evaluate(point) == pv + qv
-        assert (p - q).evaluate(point) == pv - qv
-        assert (p * q).evaluate(point) == pv * qv
-        assert ((p + q) * r).evaluate(point) == (pv + qv) * rv
-        assert (-p).evaluate(point) == -pv
-        assert (p * 3 + 2).evaluate(point) == 3 * pv + 2
+        pv, qv, rv = evaluate(p, point), evaluate(q, point), evaluate(r, point)
+        assert evaluate(p + q, point) == pv + qv
+        assert evaluate(p - q, point) == pv - qv
+        assert evaluate(p * q, point) == pv * qv
+        assert evaluate((p + q) * r, point) == (pv + qv) * rv
+        assert evaluate(-p, point) == -pv
+        assert evaluate(p * 3 + 2, point) == 3 * pv + 2
     assert p + q == q + p
     assert p * q == q * p
 
 
-def test_substitute_commutes_with_evaluation():
+def test_substitute_commutes_with_evaluation(evaluate):
     rng = random.Random(99)
     for _ in range(50):
         p = random_poly(rng, 3)
         images = [random_poly(rng, 2, max_terms=3, max_exp=2) for _ in range(3)]
         point = [rng.randint(-4, 4) for _ in range(2)]
-        via_sub = p.substitute(images).evaluate(point)
-        via_eval = p.evaluate([img.evaluate(point) for img in images])
+        via_sub = evaluate(p.substitute(images), point)
+        via_eval = evaluate(p, [evaluate(img, point) for img in images])
         assert via_sub == via_eval
     # signed-variable maps: every image is 0 or +-1 times one variable
     for _ in range(100):
@@ -359,8 +360,13 @@ def test_render_forms():
 
 
 def assert_round_trip(cert, basis, p):
-    back = cert.expansion.substitute(basis.negated_simple_roots())
-    assert back == p
+    # v_i = -alpha_i over t_1..t_n from the oracle's root table, and in type
+    # A the slack variable w = t_1
+    n, lie = basis.n, basis.lie_type
+    roots = [-Polynomial.linear(alpha_vector(lie, n, i)) for i in range(1, n + (lie != "A"))]
+    if lie == "A":
+        roots.append(t(1, n))
+    assert cert.expansion.substitute(roots) == p
 
 
 def test_certificate_type_a():

@@ -11,12 +11,7 @@ from hypothesis import strategies as st
 from eqpieri.errors import InputError
 from eqpieri.pieri import specialization_images
 from eqpieri.polyring import Polynomial
-from eqpieri.restrict_a import (
-    instance_value,
-    restriction_coefficient,
-    restriction_instance,
-    schur_identity_check,
-)
+from eqpieri.restrict_a import restriction_coefficient, schur_identity_check
 from eqpieri.schubert import Space, enumerate_symbols, leq, special_symbol
 
 
@@ -51,16 +46,16 @@ def test_frozen_value_on_gr47():
     ) * (t(7, 7) - t(1, 7))
 
 
-def test_instance_shape():
-    inst = restriction_instance(Space("A", 2, 6), (2, 3), 2)
-    assert inst.I1 == (1, 2, 3) and inst.I2 == (4, 5, 6)
-    assert inst.a == (2, 3) and inst.b == (4, 5, 6) and inst.r == 2
-    value = instance_value(inst, variables(inst.N))
+def test_instance_shape(marker_split):
+    # I1 = [1, 3] and I2 = [4, 6] on Gr(2, 6) at p = 2
+    space = Space("A", 2, 6)
+    a, b = marker_split(space, (2, 3), 2)
+    assert a == (2, 3) and b == (4, 5, 6) and len(b) == 2 + len(a) - 1
+    value = restriction_coefficient(space, (2, 3), 2)
+    assert value == subword_sum(a, b, 2, variables(6))
     assert len(value.terms) > 0 and value.is_homogeneous() and value.degree() == 2
     with pytest.raises(InputError):
-        restriction_instance(Space("C", 2, 3), (2, 3), 2)
-    with pytest.raises(InputError):
-        restriction_instance(Space("A", 2, 6), (2, 3), 0)
+        restriction_coefficient(Space("C", 2, 3), (2, 3), 2)
 
 
 def test_edge_cases():
@@ -116,10 +111,10 @@ def test_subword_and_symmetric_function_forms_agree(restriction_coefficient_symf
                     ) == restriction_coefficient_symfn(space, nu, p)
 
 
-def subword_sum(inst, images):
+def subword_sum(a, b, p, images):
     """The sum of the module docstring, one product per subword; the
-    reference for instance_value's row recursion."""
-    p, r, a, b = inst.p, inst.r, inst.a, inst.b
+    reference for restriction_coefficient's row recursion."""
+    r = len(a)
     total = Polynomial.zero(images[0].nvars)
     for cs in combinations(range(1, p + r), p):
         term = Polynomial.one(total.nvars)
@@ -131,8 +126,9 @@ def subword_sum(inst, images):
 
 @st.composite
 def instances_with_images(draw):
-    """A restriction instance on Gr(m, N) and images of the N weights: the
-    variables themselves, or the folding map of a B, C or D space."""
+    """A restriction coefficient (space, nu, p) on Gr(m, N) and images of the
+    N weights: the variables themselves, or the folding map of a B, C or D
+    space."""
     N = draw(st.integers(2, 9))
     m = draw(st.integers(0, N - 1))
     nu = tuple(sorted(draw(st.sets(st.integers(1, N), min_size=m, max_size=m))))
@@ -142,17 +138,19 @@ def instances_with_images(draw):
         folds.append(Space("D", 0, N // 2))
     fold = draw(st.sampled_from([None] + folds))
     images = variables(N) if fold is None else specialization_images(fold)
-    return restriction_instance(Space("A", m, N), nu, p), images
+    return Space("A", m, N), nu, p, images
 
 
 @settings(max_examples=150, deadline=None, database=None)
 @given(instances_with_images())
-def test_row_recursion_equals_the_subword_sum(case):
-    inst, images = case
-    assert instance_value(inst, images) == subword_sum(inst, images)
+def test_row_recursion_equals_the_subword_sum(marker_split, case):
+    space, nu, p, images = case
+    a, b = marker_split(space, nu, p)
+    value = restriction_coefficient(space, nu, p, images)
+    assert value == subword_sum(a, b, p, images)
 
 
-def test_values_positive_at_increasing_points():
+def test_values_positive_at_increasing_points(evaluate):
     # every factor t_j - t_i has i < j, so any increasing point is positive
     space = Space("A", 3, 7)
     point = list(range(1, 8))
@@ -160,10 +158,10 @@ def test_values_positive_at_increasing_points():
         for p in range(1, 5):
             value = restriction_coefficient(space, nu, p)
             if not value.is_zero:
-                assert value.evaluate(point) > 0
+                assert evaluate(value, point) > 0
 
 
-def test_matches_fixed_point_integration_numerically():
+def test_matches_fixed_point_integration_numerically(marker_split, evaluate):
     # compare against the localization form: sum over j of
     # prod(t_b - t_{a_j}) / prod(t_{a_i} - t_{a_j}), at random points
     rng = random.Random(2024)
@@ -174,18 +172,18 @@ def test_matches_fixed_point_integration_numerically():
         nu = tuple(sorted(rng.sample(range(1, N + 1), m)))
         p = rng.randint(1, N - m)
         point = rng.sample(range(-30, 31), N)
-        inst = restriction_instance(space, nu, p)
+        a, b = marker_split(space, nu, p)
         lhs = Fraction(0)
-        for j in inst.a:
+        for j in a:
             num = Fraction(1)
-            for i in inst.b:
+            for i in b:
                 num *= point[i - 1] - point[j - 1]
             den = Fraction(1)
-            for i in inst.a:
+            for i in a:
                 if i != j:
                     den *= point[i - 1] - point[j - 1]
             lhs += num / den
-        assert lhs == instance_value(inst, variables(inst.N)).evaluate(point)
+        assert lhs == evaluate(restriction_coefficient(space, nu, p), point)
 
 
 def test_schur_identity_random():

@@ -1,5 +1,6 @@
 """Symbols, codimensions, orders, and special classes on small spaces."""
 
+import re
 from itertools import combinations
 
 import pytest
@@ -9,6 +10,7 @@ from eqpieri.diagram import arrow, build
 from eqpieri.errors import InputError
 from eqpieri.gkm import GkmEngine, fixed_point_restriction, type_d_restriction
 from eqpieri.pieri import compute_pieri, pieri_coefficient, pieri_expansion
+from eqpieri.polyring import Polynomial
 from eqpieri.restrict_a import restriction_coefficient
 from eqpieri.schubert import (
     Space,
@@ -135,6 +137,36 @@ ENTRY_POINTS = {
 def test_every_entry_point_rejects_a_bad_symbol(entry, fault):
     with pytest.raises(InputError, match=fault):
         ENTRY_POINTS[entry](BAD_SYMBOLS[fault])
+
+
+# each entry point with x in one integer slot, and the name its message gives
+# that slot; the pairs are the worked SG(3,8) pair and a type B pair whose Q
+# has two columns to drop
+SG38_PAIR = ((2, 4, 8), (1, 3, 5))
+INTEGER_SLOTS = {
+    "validate_symbol": ("symbol entry", lambda x: validate_symbol(SG38, (2, 4, x))),
+    "compute_pieri lambda": ("symbol entry", lambda x: compute_pieri(SG38, (2, 4, x), (1, 3, 5), 5)),
+    "compute_pieri p": ("p", lambda x: compute_pieri(SG38, *SG38_PAIR, x)),
+    "pieri_expansion p": ("p", lambda x: pieri_expansion(SG38, (2, 4, 8), x)),
+    "special_class p": ("p", lambda x: special_class(SG38, x)),
+    "build p": ("p", lambda x: build(SG38, *SG38_PAIR, x)),
+    "build pivot": ("pivot column", lambda x: build(SG38, *SG38_PAIR, 5, pivot=(1, x))),
+    "build chat": ("chat", lambda x: build(OG27, (5, 7), (1, 6), 3, chat=x)),
+    "nu_I": ("column of I", lambda x: build(SG38, *SG38_PAIR, 5).nu_I((x,))),
+    "Space m": ("m", lambda x: Space("C", x, 4)),
+    "Space n": ("n", lambda x: Space("C", 2, x)),
+    "Polynomial coefficient": ("coefficient", lambda x: Polynomial(2, {(1, 0): x})),
+    "Polynomial exponent": ("exponent", lambda x: Polynomial(2, {(x, 0): 1})),
+}
+
+
+@pytest.mark.parametrize("x", [2.5, "2"])
+@pytest.mark.parametrize("entry", INTEGER_SLOTS)
+def test_every_integer_slot_rejects_a_float_and_a_string(entry, x):
+    # neither truncated (2.5 -> 2) nor parsed ("2" -> 2), and no TypeError
+    what, call = INTEGER_SLOTS[entry]
+    with pytest.raises(InputError, match=f"^{re.escape(f'{what} = {x!r}')} is not an integer$"):
+        call(x)
 
 
 def test_codim_frozen_values():
