@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from .errors import ConsistencyError, InputError
+from .errors import ConsistencyError, InputError, as_int
 from .polyring import Polynomial
 from .schubert import (
     Space,
@@ -329,6 +329,7 @@ def type_d_restriction(space: Space, nu, q: int) -> Polynomial:
     if space.lie_type != "D":
         raise InputError("this restriction shortcut is for even orthogonal spaces")
     nu = validate_symbol(space, nu)
+    q = as_int(q, "q")
     n = nvars = space.n
     if q < 0:
         return Polynomial.zero(nvars)

@@ -3,19 +3,20 @@
 A polynomial is a dict mapping packed monomial keys to nonzero integer
 coefficients; arithmetic is exact, never floats.  A key is one int of 16-bit
 fields (``_WIDTH``): the total degree in the top field, then the exponents of
-x_1, x_2, ... in turn.  So int order is graded lex, a product of monomials
-is one int addition, and the leading term is ``max`` of the keys.  Output
-lists terms in that order, largest first, so it is deterministic.  The top
-bit of each field is a guard, never set in a stored key: a total degree above
-``_LIMIT`` (32767) is refused, on input and in ``__mul__``, before it could
-carry into the next field; division subtracts keys with every guard set, and
-a field whose exponent would go negative clears its guard.  ``terms`` is the same
-mapping keyed by exponent tuples, built on read.  Variables are positional and
-1-based in printed output: the equivariant parameters of an ambient torus.
-Callers choose the display prefix ("t" for torus parameters of the symplectic
-or orthogonal group, "s" for the larger general-linear torus upstairs).
-Substitution is Horner's scheme in the variables: terms are grouped by the
-exponent of one variable at a time, so each step multiplies by one image.
+x_1, x_2, ... in turn.  So int order is graded lex, a product of monomials is
+one int addition, and the leading term is ``max`` of the keys.  Output lists
+terms in that order, largest first, so it is deterministic.  The top bit of
+each field is a guard, never set in a stored key: a total degree above
+``_LIMIT`` (32767) is refused in ``__mul__``, the only place a degree grows,
+before it could carry into the next field; division subtracts keys with every
+guard set, and a field whose exponent would go negative clears its guard.
+``terms`` is the same mapping keyed by exponent tuples, built on read.
+Variables are positional and 1-based in printed output: the equivariant
+parameters of an ambient torus.  Callers choose the display prefix ("t" for
+torus parameters of the symplectic or orthogonal group, "s" for the larger
+general-linear torus upstairs).  Substitution is Horner's scheme in the
+variables: terms are grouped by the exponent of one variable at a time, so
+each step multiplies by one image.
 
 The second half of the module certifies Graham positivity: a class is
 expanded in the basis of negated simple roots v_i = -alpha_i and accepted
@@ -28,7 +29,7 @@ check divisibility instead of leaving the integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import ConsistencyError, InputError, as_int
 
@@ -39,15 +40,14 @@ _GUARD = 1 << (_WIDTH - 1)
 _LIMIT = _GUARD - 1  # the largest total degree a key holds
 
 
-def _pack(exp) -> int:
-    key = sum(exp)
-    for e in exp:
-        key = (key << _WIDTH) | e
-    return key
-
-
 def _unpack(key: int, nvars: int) -> tuple:
     return tuple((key >> _WIDTH * s) & _MASK for s in range(nvars - 1, -1, -1))
+
+
+def _ring(nvars: int) -> int:
+    if nvars < 0:
+        raise InputError("nvars must be nonnegative")
+    return nvars
 
 
 def _unit(i: int, nvars: int) -> int:
@@ -56,31 +56,9 @@ def _unit(i: int, nvars: int) -> int:
 
 
 class Polynomial:
-    """Immutable-by-convention sparse polynomial with int coefficients."""
+    """Immutable-by-convention int polynomial, made by the constructors below and arithmetic."""
 
     __slots__ = ("nvars", "_terms")
-
-    def __init__(self, nvars: int, terms: Optional[Mapping[tuple, int]] = None):
-        if nvars < 0:
-            raise InputError("nvars must be nonnegative")
-        clean = {}
-        if terms:
-            for exp, coeff in terms.items():
-                coeff = as_int(coeff, "coefficient")
-                if coeff == 0:
-                    continue
-                exp = tuple(as_int(e, "exponent") for e in exp)
-                if len(exp) != nvars:
-                    raise InputError(
-                        f"exponent vector {exp} has length {len(exp)}, expected {nvars}"
-                    )
-                if any(e < 0 for e in exp):
-                    raise InputError(f"negative exponent in {exp}")
-                if sum(exp) > _LIMIT:
-                    raise InputError(f"degree of {exp} exceeds {_LIMIT}")
-                clean[_pack(exp)] = coeff
-        self.nvars = nvars
-        self._terms = clean
 
     # -- constructors -----------------------------------------------------
 
@@ -94,21 +72,21 @@ class Polynomial:
 
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
-        return cls.constant(0, nvars)
-
-    @classmethod
-    def constant(cls, value: int, nvars: int) -> "Polynomial":
-        if nvars < 0:
-            raise InputError("nvars must be nonnegative")
-        return cls._of(nvars, {0: value} if value else {})
+        return cls._of(_ring(nvars), {})
 
     @classmethod
     def one(cls, nvars: int) -> "Polynomial":
-        return cls.constant(1, nvars)
+        return cls._of(_ring(nvars), {0: 1})
+
+    @classmethod
+    def constant(cls, value: int, nvars: int) -> "Polynomial":
+        value = as_int(value, "coefficient")
+        return cls._of(_ring(nvars), {0: value} if value else {})
 
     @classmethod
     def variable(cls, index: int, nvars: int) -> "Polynomial":
         """The variable with 1-based position ``index``."""
+        index = as_int(index, "variable index")
         if not 1 <= index <= nvars:
             raise InputError(f"variable index {index} out of range 1..{nvars}")
         return cls._of(nvars, {_unit(index - 1, nvars): 1})
@@ -117,6 +95,7 @@ class Polynomial:
     def linear(cls, coeffs: Sequence[int]) -> "Polynomial":
         """sum(coeffs[i] * x_{i+1})."""
         nvars = len(coeffs)
+        coeffs = [as_int(c, "coefficient") for c in coeffs]
         return cls._of(nvars, {_unit(i, nvars): c for i, c in enumerate(coeffs) if c})
 
     # -- basic structure ---------------------------------------------------
@@ -161,13 +140,9 @@ class Polynomial:
 
     def _require_same_ring(self, other: "Polynomial"):
         if self.nvars != other.nvars:
-            raise InputError(
-                f"mixed variable counts: {self.nvars} vs {other.nvars}"
-            )
+            raise InputError(f"mixed variable counts: {self.nvars} vs {other.nvars}")
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = Polynomial.constant(other, self.nvars)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_ring(other)
@@ -180,26 +155,15 @@ class Polynomial:
                 terms.pop(key, None)
         return Polynomial._of(self.nvars, terms)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return Polynomial._of(self.nvars, {key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = Polynomial.constant(other, self.nvars)
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return Polynomial.zero(self.nvars)
-            return Polynomial._of(self.nvars, {key: c * other for key, c in self._terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_ring(other)
@@ -216,8 +180,6 @@ class Polynomial:
                 else:
                     del terms[key]
         return Polynomial._of(self.nvars, terms)
-
-    __rmul__ = __mul__
 
     # -- substitution -------------------------------------------------------
 
@@ -244,7 +206,7 @@ class Polynomial:
         def fold(items, i):
             # items share their exponents before i, so at the end one is left
             if i == self.nvars:
-                return Polynomial.constant(items[0][1], target)
+                return Polynomial._of(target, {0: items[0][1]})
             shift = _WIDTH * (self.nvars - 1 - i)
             groups = {}
             for item in items:
@@ -456,7 +418,7 @@ class PositivityCertificate:
             "n": self.n,
             "degree": self.degree,
             "scale": self.scale,
-            "expansion": self.expansion.to_json_dict() if self.expansion else None,
+            "expansion": None if self.expansion is None else self.expansion.to_json_dict(),
             "failure": self.failure,
         }
 

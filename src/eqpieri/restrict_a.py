@@ -40,7 +40,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .errors import ConsistencyError, InputError
+from .errors import ConsistencyError, InputError, as_int
 from .polyring import Polynomial
 from .schubert import Space, validate_symbol
 
@@ -56,6 +56,7 @@ def restriction_coefficient(space: Space, nu, p: int, images=None) -> Polynomial
     if space.lie_type != "A":
         raise InputError("restriction coefficients live on type A spaces")
     nu = validate_symbol(space, nu)
+    p = as_int(p, "p")
     N = space.n
     if images is None:
         images = [Polynomial.variable(j, N) for j in range(1, N + 1)]

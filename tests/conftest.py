@@ -14,6 +14,17 @@ def _product_of_variables(indices, nvars):
     return term
 
 
+def _polynomial(nvars, terms):
+    """sum of coeff * x^exp over an exponent-tuple dict, built from the
+    public constructors and arithmetic alone, never from packed keys."""
+    total = Polynomial.zero(nvars)
+    for exp, coeff in terms.items():
+        assert len(exp) == nvars
+        indices = [i for i, e in enumerate(exp, 1) for _ in range(e)]
+        total = total + Polynomial.constant(coeff, nvars) * _product_of_variables(indices, nvars)
+    return total
+
+
 def _marker_split(space, nu, p):
     """(a, b) of the restrict_a module docstring, from its definition:
     a = I1 intersect nu and b = I2 minus nu, sorted, for I1 = [1, N-m-p+1]
@@ -51,9 +62,15 @@ def _symfn_coefficient(space, nu, p):
         complete = Polynomial.zero(N)
         for combo in combinations_with_replacement(a, p - k):
             complete = complete + _product_of_variables(combo, N)
-        sign = -1 if (p - k) % 2 else 1
+        sign = Polynomial.constant(-1 if (p - k) % 2 else 1, N)
         total = total + elementary * complete * sign
     return total
+
+
+@pytest.fixture(scope="session")
+def polynomial():
+    """A Polynomial from nvars and a dict of exponent tuples to coefficients."""
+    return _polynomial
 
 
 @pytest.fixture(scope="session")

@@ -85,6 +85,38 @@ def test_pieri_json_certificate_is_null_without_certify(capsys):
     assert [term["I"] for term in payload["terms"]] == [None]
 
 
+def test_pieri_json_certificate_of_a_zero_coefficient_shows_its_expansion(capsys):
+    # an ok certificate carries its expansion, the zero polynomial included;
+    # only a failed one has none
+    code, out, err = run_cli(
+        capsys, "pieri", "--type", "C", "--n", "3", "--m", "2",
+        "--lambda", "2,6", "--mu", "1,2", "--p", "1", "--json", "--certify",
+    )
+    assert (code, err) == (0, "")
+    assert out == "\n".join([
+        "{",
+        '  "coefficient": {',
+        '    "nvars": 3,',
+        '    "terms": []',
+        "  },",
+        '  "terms": [],',
+        '  "certificate": {',
+        '    "ok": true,',
+        '    "lie_type": "C",',
+        '    "n": 3,',
+        '    "degree": 0,',
+        '    "scale": 1,',
+        '    "expansion": {',
+        '      "nvars": 3,',
+        '      "terms": []',
+        "    },",
+        '    "failure": null',
+        "  }",
+        "}",
+        "",
+    ])
+
+
 def test_invalid_symbol_exits_one_with_message(capsys):
     code, out, err = run_cli(
         capsys, "pieri", "--type", "C", "--n", "4", "--m", "3",
@@ -325,6 +357,17 @@ def test_every_readme_command_runs(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, (argv, err)
         assert shown is None or out == shown, (argv, out)
+
+
+def test_the_readme_python_block_prints_what_it_shows(capsys):
+    block = re.search(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)[1]
+    shown = [line.split("#", 1)[1].strip()
+             for line in block.splitlines() if line.startswith("print(") and "#" in line]
+    assert shown == ["4*t1^2", "sum", "True"]
+    exec(block, {})
+    printed = iter(capsys.readouterr().out.splitlines())
+    # each shown output is a printed line, in the order of the block
+    assert all(line in printed for line in shown)
 
 
 # every space of torus rank <= 4, the maximal OG(n,2n) included

@@ -33,6 +33,7 @@ from eqpieri.schubert import (
     codim,
     enumerate_symbols,
     family_twist_images,
+    own_special_class,
     pieri_bound,
     preceq,
     special_class,
@@ -164,7 +165,8 @@ def _billey_restrictions(space, nu, classes):
 
     walk(0, identity_element(rank), Polynomial.one(rank))
     w0 = longest_element(lie, rank)
-    phi = [Polynomial.variable(abs(x), rank) * (1 if x > 0 else -1) for x in w0]
+    phi = [Polynomial.variable(abs(x), rank) * Polynomial.constant(1 if x > 0 else -1, rank)
+           for x in w0]
     zero = Polynomial.zero(rank)
     own = parabolic_indices(space, nu)
     return {
@@ -208,6 +210,29 @@ def test_maximal_type_d_restriction_equals_the_reference_by_swap_and_twist():
                 raw = _billey_restrictions(maximal, swapped, [s_q])[s_q]
                 expected = raw.substitute(family_twist_images(3))
             assert type_d_restriction(maximal, nu, q) == expected
+
+
+def test_second_special_class_is_the_oracles_twisted_swap_of_the_first():
+    # the outer symmetry of type D, in the oracle alone: multiplying lam by
+    # the second special class is the n <-> n+1 swap and t_n -> -t_n twist of
+    # multiplying swap(lam) by the first
+    checked = 0
+    for n in range(2, 6):
+        twist = family_twist_images(n)
+        for m in range(1, n):
+            space, p = Space("D", m, n), n - m
+            engine = GkmEngine(space)
+            for lam in enumerate_symbols(space):
+                swapped = swap_wall_letters(space, lam)
+                tilde = engine.product_expansion(lam, own_special_class(space, lam, p, True))
+                plain = engine.product_expansion(
+                    swapped, own_special_class(space, swapped, p, False))
+                assert {mu: v for mu, v in tilde.items() if not v.is_zero} == {
+                    swap_wall_letters(space, mu): v.substitute(twist)
+                    for mu, v in plain.items() if not v.is_zero
+                }
+                checked += 1
+    assert checked == 296
 
 
 OG18 = Space("D", 1, 4)

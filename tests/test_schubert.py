@@ -155,8 +155,11 @@ INTEGER_SLOTS = {
     "nu_I": ("column of I", lambda x: build(SG38, *SG38_PAIR, 5).nu_I((x,))),
     "Space m": ("m", lambda x: Space("C", x, 4)),
     "Space n": ("n", lambda x: Space("C", 2, x)),
-    "Polynomial coefficient": ("coefficient", lambda x: Polynomial(2, {(1, 0): x})),
-    "Polynomial exponent": ("exponent", lambda x: Polynomial(2, {(x, 0): 1})),
+    "restriction_coefficient p": ("p", lambda x: restriction_coefficient(GR25, (1, 2), x)),
+    "type_d_restriction q": ("q", lambda x: type_d_restriction(OG28, (3, 7), x)),
+    "Polynomial coefficient": ("coefficient", lambda x: Polynomial.constant(x, 2)),
+    "Polynomial.linear coefficient": ("coefficient", lambda x: Polynomial.linear([1, x])),
+    "Polynomial.variable index": ("variable index", lambda x: Polynomial.variable(x, 2)),
 }
 
 
