@@ -23,7 +23,9 @@ expanded in the basis of negated simple roots v_i = -alpha_i and accepted
 only if every coefficient is a nonnegative integer.  For the types with
 short or multiplied roots (C and D) the change of basis has determinant a
 power of 2, so we clear denominators by scaling the input by 2^degree and
-check divisibility instead of leaving the integers.
+check divisibility instead of leaving the integers.  The change of basis is
+a few steps x_i -> x_i + c*x_j, each expanded by the binomial theorem on the
+keys, and scalings x_i -> f*x_i: no polynomial product is formed.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ def _unpack(key: int, nvars: int) -> tuple:
 
 
 def _ring(nvars: int) -> int:
+    nvars = as_int(nvars, "nvars")
     if nvars < 0:
         raise InputError("nvars must be nonnegative")
     return nvars
@@ -86,6 +89,7 @@ class Polynomial:
     @classmethod
     def variable(cls, index: int, nvars: int) -> "Polynomial":
         """The variable with 1-based position ``index``."""
+        nvars = _ring(nvars)
         index = as_int(index, "variable index")
         if not 1 <= index <= nvars:
             raise InputError(f"variable index {index} out of range 1..{nvars}")
@@ -190,7 +194,7 @@ class Polynomial:
         i, each group is substituted in the later variables, and the groups
         are folded from the top exponent down as acc = acc * images[i] +
         group, so each step multiplies by one image, never by its powers.
-        Serves the type-D family twist and the certificate's change of basis.
+        Serves the type-D family twist.
         """
         if len(images) != self.nvars:
             raise InputError(
@@ -219,6 +223,41 @@ class Polynomial:
             return acc
 
         return fold(list(self._terms.items()), 0)
+
+    def _shift(self, i: int, j: int, c: int) -> "Polynomial":
+        """x_i -> x_i + c*x_j for 0-based positions i != j, by the binomial
+        theorem: the term of c^r x_j^r moves r units from field i to field j."""
+        down = _WIDTH * (self.nvars - 1 - i)
+        move = (1 << _WIDTH * (self.nvars - 1 - j)) - (1 << down)
+        terms = {}
+        for key, coeff in self._terms.items():
+            k = (key >> down) & _MASK
+            for r in range(k + 1):
+                terms[key] = terms.get(key, 0) + coeff
+                key += move
+                coeff = coeff * c * (k - r) // (r + 1)  # exact: C(k, r+1) c^(r+1)
+        return Polynomial._of(self.nvars, {key: v for key, v in terms.items() if v})
+
+    def _scale(self, f: int, positions: range) -> "Polynomial":
+        """x_i -> f * x_i for each 0-based position i in ``positions``; f != 0.
+        The power of f is the total degree less the exponents outside."""
+        top = _WIDTH * self.nvars
+        outside = [top - _WIDTH * (i + 1) for i in range(self.nvars) if i not in positions]
+        terms = {}
+        for key, coeff in self._terms.items():
+            e = key >> top
+            for shift in outside:
+                e -= (key >> shift) & _MASK
+            terms[key] = coeff * f ** e
+        return Polynomial._of(self.nvars, terms)
+
+    def _rotate(self) -> "Polynomial":
+        """Move the exponent of x_1 to the last field."""
+        top, low = _WIDTH * self.nvars, _WIDTH * (self.nvars - 1)
+        return Polynomial._of(self.nvars, {
+            (key >> top << top) | (key & ((1 << low) - 1)) << _WIDTH | (key >> low) & _MASK: c
+            for key, c in self._terms.items()
+        })
 
     # -- division ------------------------------------------------------------
 
@@ -285,16 +324,19 @@ class Polynomial:
         """Human-readable form, e.g. ``t2*t5 - t1*t2 - t1*t5 + t1^2``."""
         if not self._terms:
             return "0"
-        if names is not None and len(names) != self.nvars:
+        if names is None:
+            names = [f"{prefix}{i}" for i in range(1, self.nvars + 1)]
+        elif len(names) != self.nvars:
             raise InputError("wrong number of variable names")
+        fields = list(zip(names, range(_WIDTH * (self.nvars - 1), -1, -_WIDTH)))
         parts = []
-        for exp, coeff in self.sorted_terms():
+        for key in sorted(self._terms, reverse=True):
+            coeff = self._terms[key]
             factors = []
-            for i, e in enumerate(exp):
-                if not e:
-                    continue
-                name = names[i] if names is not None else f"{prefix}{i + 1}"
-                factors.append(name if e == 1 else f"{name}^{e}")
+            for name, shift in fields:
+                e = (key >> shift) & _MASK
+                if e:
+                    factors.append(name if e == 1 else f"{name}^{e}")
             mono = "*".join(factors)
             mag = abs(coeff)
             if not mono:
@@ -326,9 +368,14 @@ class Polynomial:
 #   D_n: alpha_(n-1) = t_(n-1) - t_n, alpha_n = t_(n-1) + t_n:
 #       2 t_i = -(2 v_i + ... + 2 v_(n-2) + v_(n-1) + v_n) for i < n,
 #       2 t_n = v_(n-1) - v_n.
-# For C and D we substitute the images of 2 t_i, which multiplies a degree-d
-# homogeneous input by 2^d, then demand divisibility by 2^d after checking
-# signs.
+# For C and D we map 2 t_i, which multiplies a degree-d homogeneous input by
+# 2^d, then demand divisibility by 2^d after checking signs.  The map is a
+# product of elementary steps, applied to the polynomial in order (1-based):
+#   A: x_i -> x_i + x_(i-1) for i = n..2, then x_1 moves to the last field, w.
+#   B: x -> -x, then x_i -> x_i + x_(i+1) for i = 1..n-1.
+#   C: the B steps, then x_j -> 2 x_j for j < n.
+#   D: x -> -x, x_i -> x_i + x_(i+1) for i = 1..n-2, x_n -> x_n - x_(n-1),
+#      x_n -> 2 x_n, x_(n-1) -> x_(n-1) + x_n, then x_j -> 2 x_j for j <= n-2.
 
 
 @dataclass(frozen=True)
@@ -355,43 +402,24 @@ class RootBasis:
             return [f"v{i}" for i in range(1, self.n)] + ["w"]
         return [f"v{i}" for i in range(1, self.n + 1)]
 
-    def scaled_t_images(self):
-        """Images of denominator_scale * t_i as polynomials in the basis vars."""
-        n = k = self.n  # type A uses v_1..v_(n-1) plus the slack variable w
-        images = []
-        if self.lie_type == "A":
-            for i in range(1, n + 1):
-                coeffs = [0] * k
-                coeffs[k - 1] = 1  # w
-                for j in range(1, i):
-                    coeffs[j - 1] = 1
-                images.append(Polynomial.linear(coeffs))
-        elif self.lie_type == "B":
-            for i in range(1, n + 1):
-                coeffs = [0] * k
-                for j in range(i, n + 1):
-                    coeffs[j - 1] = -1
-                images.append(Polynomial.linear(coeffs))
-        elif self.lie_type == "C":
-            for i in range(1, n + 1):
-                coeffs = [0] * k
-                for j in range(i, n):
-                    coeffs[j - 1] = -2
-                coeffs[n - 1] = -1
-                images.append(Polynomial.linear(coeffs))
-        else:  # D
-            for i in range(1, n):
-                coeffs = [0] * k
-                for j in range(i, n - 1):
-                    coeffs[j - 1] = -2
-                coeffs[n - 2] = -1
-                coeffs[n - 1] += -1
-                images.append(Polynomial.linear(coeffs))
-            coeffs = [0] * k
-            coeffs[n - 2] = 1
-            coeffs[n - 1] = -1
-            images.append(Polynomial.linear(coeffs))
-        return images
+    def scaled_in_basis(self, p: Polynomial) -> Polynomial:
+        """p with each t_i replaced by denominator_scale * t_i in the basis
+        variables: the steps of the comment block above, on 0-based positions."""
+        n, lie = self.n, self.lie_type
+        shift, scale, rotate = Polynomial._shift, Polynomial._scale, Polynomial._rotate
+        if lie == "A":
+            steps = [(shift, i, i - 1, 1) for i in range(n - 1, 0, -1)] + [(rotate,)]
+        else:
+            d = lie == "D"
+            steps = [(scale, -1, range(n))] + [(shift, i, i + 1, 1) for i in range(n - 1 - d)]
+            if d:
+                steps += [(shift, n - 1, n - 2, -1), (scale, 2, range(n - 1, n)),
+                          (shift, n - 2, n - 1, 1)]
+            if lie != "B":
+                steps.append((scale, 2, range(n - 1 - d)))
+        for step, *args in steps:
+            p = step(p, *args)
+        return p
 
 
 @dataclass
@@ -438,7 +466,7 @@ def root_positivity_certificate(p: Polynomial, basis: RootBasis) -> PositivityCe
         raise InputError("positivity certificates require homogeneous input")
     degree = p.degree()
     scale = basis.denominator_scale**degree
-    scaled = sorted(p.substitute(basis.scaled_t_images())._terms.items(), reverse=True)
+    scaled = sorted(basis.scaled_in_basis(p)._terms.items(), reverse=True)
     names = basis.basis_var_names()
 
     def failed(problem, key):

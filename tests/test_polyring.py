@@ -4,7 +4,7 @@ import random
 from operator import add, mul, sub
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eqpieri.errors import ConsistencyError, InputError
@@ -147,26 +147,69 @@ def expand_by_products(p, images):
     return result
 
 
+def scaled_t_images(lie, n):
+    """Images of denominator_scale * t_i as linear forms in the basis
+    variables of the comment block in polyring (type A: v_1..v_(n-1), w)."""
+    def form(coeffs):
+        return Polynomial.linear([coeffs.get(j, 0) for j in range(1, n + 1)])
+
+    if lie == "A":
+        return [form({n: 1, **{j: 1 for j in range(1, i)}}) for i in range(1, n + 1)]
+    if lie == "B":
+        return [form({j: -1 for j in range(i, n + 1)}) for i in range(1, n + 1)]
+    if lie == "C":
+        return [form({**{j: -2 for j in range(i, n)}, n: -1}) for i in range(1, n + 1)]
+    return [
+        form({**{j: -2 for j in range(i, n - 1)}, n - 1: -1, n: -1}) for i in range(1, n)
+    ] + [form({n - 1: 1, n: -1})]
+
+
 @st.composite
-def homogeneous_and_root_images(draw):
-    """The terms of a homogeneous polynomial of degree <= 9 in the n = 1..6
-    variables of a root basis of type A-D, with that basis's scaled t images."""
+def homogeneous_and_root_images(draw, max_n=6):
+    """The terms of a homogeneous polynomial of degree <= 9 in the n = 1..max_n
+    variables of a root basis of type A-D, the type, and that basis's scaled t
+    images; the zero polynomial and the constants are among them."""
     lie = draw(st.sampled_from("ABCD"))
-    n = draw(st.integers(2 if lie == "D" else 1, 6))
+    n = draw(st.integers(2 if lie == "D" else 1, max_n))
     degree = draw(st.integers(0, 9))
     monomial = st.lists(st.integers(0, n - 1), min_size=degree, max_size=degree)
     terms = {}
     for factors, coeff in draw(st.lists(st.tuples(monomial, st.integers(-9, 9)), max_size=5)):
         terms[tuple(factors.count(i) for i in range(n))] = coeff
-    return n, terms, RootBasis(lie, n).scaled_t_images()
+    return n, terms, lie, scaled_t_images(lie, n)
 
 
 @settings(max_examples=150, deadline=None, database=None)
 @given(homogeneous_and_root_images())
 def test_substitute_equals_products_over_root_images(polynomial, case):
-    n, terms, images = case
+    n, terms, _, images = case
     p = polynomial(n, terms)
     assert p.substitute(images) == expand_by_products(p, images)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(homogeneous_and_root_images(max_n=8))
+@example((3, {}, "D", scaled_t_images("D", 3)))
+@example((4, {(0, 0, 0, 0): -5}, "C", scaled_t_images("C", 4)))
+def test_basis_steps_equal_substitution_of_the_scaled_images(polynomial, case):
+    n, terms, lie, images = case
+    p = polynomial(n, terms)
+    assert RootBasis(lie, n).scaled_in_basis(p) == p.substitute(images)
+
+
+def test_scaled_images_are_the_negated_simple_roots_inverted():
+    # substituting v_i = -alpha_i (and w = t_1) into the image of t_i gives
+    # denominator_scale * t_i back
+    for lie in "ABCD":
+        for n in range(2 if lie == "D" else 1, 7):
+            basis = RootBasis(lie, n)
+            roots = [-Polynomial.linear(alpha_vector(lie, n, i)) for i in range(1, n + (lie != "A"))]
+            if lie == "A":
+                roots.append(t(1, n))
+            scale = const(basis.denominator_scale, n)
+            assert [image.substitute(roots) for image in scaled_t_images(lie, n)] == [
+                scale * t(i, n) for i in range(1, n + 1)
+            ]
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -321,10 +364,11 @@ def ref_sorted(a):
     return [(exp, a[exp]) for exp in sorted(a, key=_ref_key, reverse=True)]
 
 
-def ref_render(a):
+def ref_render(a, prefix="t", names=None):
     parts = []
     for exp, coeff in ref_sorted(a):
-        mono = "*".join(f"t{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(exp) if e)
+        mono = "*".join((names[i] if names else f"{prefix}{i + 1}") + (f"^{e}" if e > 1 else "")
+                        for i, e in enumerate(exp) if e)
         body = mono if mono and abs(coeff) == 1 else "*".join(filter(None, [str(abs(coeff)), mono]))
         sign = ("" if coeff > 0 else "-") if not parts else ("+ " if coeff > 0 else "- ")
         parts.append(sign + body)
@@ -381,6 +425,29 @@ def test_render_forms():
     assert (const(2, 1) - t(1, 1)).render() == "-t1 + 2"
     assert (t(2, 2) - t(1, 2)).render(prefix="s") == "-s1 + s2"
     assert t(1, 2).render(names=["x", "y"]) == "x"
+    p = const(-3, 3) * t(1, 3) * t(3, 3) * t(3, 3) + t(2, 3) - const(7, 3)
+    assert p.render(names=["v1", "v2", "w"]) == "-3*v1*w^2 + v2 - 7"
+    assert p.render(prefix="v") == "-3*v1*v3^2 + v2 - 7"
+    assert const(-1, 0).render() == "-1"
+    for names in (["x", "y"], ["x", "y", "z", "u"]):
+        with pytest.raises(InputError, match="^wrong number of variable names$"):
+            p.render(names=names)
+
+
+@st.composite
+def render_cases(draw):
+    nvars = draw(st.integers(0, 12))
+    names = draw(st.none() | st.lists(st.sampled_from(["x", "y1", "w", "v10"]), min_size=nvars,
+                                      max_size=nvars))
+    return nvars, draw(term_dicts(nvars, 4, 6)), draw(st.sampled_from(["t", "v", "s"])), names
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(render_cases())
+def test_render_equals_the_tuple_reference(polynomial, case):
+    nvars, terms, prefix, names = case
+    p = polynomial(nvars, terms)
+    assert p.render(prefix=prefix, names=names) == ref_render(terms, prefix, names)
 
 
 def assert_round_trip(cert, basis, p):
@@ -447,26 +514,45 @@ def test_certificate_type_d():
     assert not root_positivity_certificate(t(1, 2) - t(2, 2), basis).ok
 
 
-def test_certificate_multiplies_few_term_pairs(monkeypatch):
-    # N^{123}_{123,8} on SG(3,12): 88 terms of degree 8.  Horner's scheme
-    # multiplies 18,975 term pairs; powers of the images expanded term by
-    # term would multiply 238,811.
+def test_certificate_takes_few_binomial_steps(monkeypatch):
+    # N^{123}_{123,8} on SG(3,12): 88 terms of degree 8.  The elementary
+    # shifts take 3,874 binomial steps (one per term and power of the new
+    # variable) and form no product; Horner's substitution of the scaled
+    # images multiplied 18,975 term pairs.
     space = Space("C", 3, 6)
     p = pieri_coefficient(space, (1, 2, 3), (1, 2, 3), 8)
     assert len(p.terms) == 88 and p.degree() == 8
-    pairs = [0]
-    product = Polynomial.__mul__
+    steps, products = [0], [0]
+    shift, product = Polynomial._shift, Polynomial.__mul__
 
-    def counting(a, b):
-        if isinstance(b, Polynomial):
-            pairs[0] += len(a.terms) * len(b.terms)
+    def counting_shift(q, i, j, c):
+        steps[0] += sum(exp[i] + 1 for exp in q.terms)
+        return shift(q, i, j, c)
+
+    def counting_product(a, b):
+        products[0] += 1
         return product(a, b)
 
-    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    monkeypatch.setattr(Polynomial, "_shift", counting_shift)
+    monkeypatch.setattr(Polynomial, "__mul__", counting_product)
     cert = positivity_certificate(space, p)
-    assert cert.ok and pairs[0] <= 25_000
+    assert cert.ok and 0 < steps[0] <= 5_000 and products[0] == 0
     monkeypatch.undo()
     assert_round_trip(cert, RootBasis("C", space.torus_rank), p)
+
+
+def test_certificate_failure_messages():
+    def failure(p, lie, n):
+        cert = root_positivity_certificate(p, RootBasis(lie, n))
+        assert not cert.ok and cert.expansion is None
+        return cert.failure
+
+    assert failure(t(1, 5) + t(2, 5), "A", 5) == "term w lies outside the root span"
+    assert failure(t(1, 5) - t(2, 5), "A", 5) == "negative coefficient -1 on v1"
+    assert failure(t(1, 4) * t(4, 4) + t(2, 4) * t(2, 4), "D", 4) == "negative coefficient -2 on v1*v3"
+    assert failure(-t(1, 1), "C", 1) == "coefficient 1 on v1 not divisible by 2"
+    assert failure(t(1, 4) * t(3, 4), "D", 4) == "coefficient 2 on v1*v3 not divisible by 4"
+    assert failure(t(1, 4) * t(3, 4), "C", 4) == "coefficient 2 on v1*v4 not divisible by 4"
 
 
 def test_certificate_edge_cases():

@@ -160,6 +160,10 @@ INTEGER_SLOTS = {
     "Polynomial coefficient": ("coefficient", lambda x: Polynomial.constant(x, 2)),
     "Polynomial.linear coefficient": ("coefficient", lambda x: Polynomial.linear([1, x])),
     "Polynomial.variable index": ("variable index", lambda x: Polynomial.variable(x, 2)),
+    "Polynomial.zero nvars": ("nvars", lambda x: Polynomial.zero(x)),
+    "Polynomial.one nvars": ("nvars", lambda x: Polynomial.one(x)),
+    "Polynomial.constant nvars": ("nvars", lambda x: Polynomial.constant(1, x)),
+    "Polynomial.variable nvars": ("nvars", lambda x: Polynomial.variable(1, x)),
 }
 
 
