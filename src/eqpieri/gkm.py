@@ -22,10 +22,13 @@ restricted to the fixed point nu is Billey's sum, over
 reduced subwords of a fixed reduced word of (the representative of) nu
 that multiply out to (the representative of) mu, of the products of the
 inversion roots met along the way, each root mapped by t_i -> w0(t_i) so
-that the products are in the usual torus coordinates.  One dynamic
-program evaluates it: it reads the word right to left and carries only
-products in W^P, the minimal coset representatives, since every right
-factor of a reduced word of an element of W^P is again in W^P.
+that the products are in the usual torus coordinates.  Two dynamic
+programs evaluate it, both reading the word right to left.  One class at
+one point (fixed_point_restriction, behind the restrict command and
+type_d_restriction) carries only right factors of that class's
+representative.  The oracle's columns carry every product in W^P, the
+minimal coset representatives, since every right factor of a reduced word
+of an element of W^P is again in W^P; one column holds every class.
 
 Structure constants come from triangular expansion, and the columns of
 restrictions are built only at the candidate fixed points: those below
@@ -39,7 +42,7 @@ other fixed points is not checked by the expansion.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from .errors import ConsistencyError, InputError, as_int
 from .polyring import Polynomial
@@ -173,10 +176,6 @@ def reduced_word(w: Element, lie: str) -> Tuple[int, ...]:
     return tuple(word)
 
 
-def element_length(w: Element, lie: str) -> int:
-    return len(reduced_word(w, lie))
-
-
 def longest_element(lie: str, rank: int) -> Element:
     if lie == "A":
         return tuple(range(rank, 0, -1))
@@ -254,9 +253,7 @@ def _word_with_roots(v: Element, lie: str):
     return out
 
 
-def _subword_sums(
-    v: Element, lie: str, p_inds, target: Optional[Element] = None
-) -> Dict[Element, Polynomial]:
+def _subword_sums(v: Element, lie: str, p_inds) -> Dict[Element, Polynomial]:
     """Billey's subword sums at v for the classes of W^P, keyed by element.
 
     Reads the reduced word of v right to left, carrying the products x of
@@ -264,30 +261,22 @@ def _subword_sums(
     (x^-1(alpha_i) > 0) and still in W^P; the inversion roots depend only
     on the word of v, so the sums at W^P are those of the full subword sum.
     Each x is carried with its inverse, on which s_i x is one position edit.
-    With a target, products are capped at its length and must end at it.
     """
-    rank = len(v)
-    one = identity_element(rank)
-    cap = element_length(target, lie) if target is not None else None
-    sums = {one: Polynomial.one(rank)}
-    states = {one: (0, one)}  # length and inverse of each product
+    one = identity_element(len(v))
+    sums = {one: Polynomial.one(len(v))}
+    inverses = {one: one}
     for i, beta in reversed(_word_with_roots(v, lie)):
-        additions: Dict[Element, Polynomial] = {}
-        for x, val in sums.items():
-            length, x_inv = states[x]
-            if length == cap or not right_ascent(x_inv, i, lie):
+        for x, val in list(sums.items()):  # each letter is used at most once
+            x_inv = inverses[x]
+            if not right_ascent(x_inv, i, lie):
                 continue
             y_inv = apply_simple(x_inv, i, lie)  # (s_i x)^-1 = x^-1 s_i
             y = _inverse(y_inv)
-            if (length + 1 == cap and y != target) or not all(
-                right_ascent(y, j, lie) for j in p_inds
-            ):
+            if not all(right_ascent(y, j, lie) for j in p_inds):
                 continue
-            states[y] = (length + 1, y_inv)
+            inverses[y] = y_inv
             term = val * beta
-            additions[y] = additions[y] + term if y in additions else term
-        for y, inc in additions.items():
-            sums[y] = sums[y] + inc if y in sums else inc
+            sums[y] = sums[y] + term if y in sums else term
     return sums
 
 
@@ -302,16 +291,26 @@ def _coset(space: Space, sym: Symbol) -> Tuple[Tuple[int, ...], Element]:
 def fixed_point_restriction(space: Space, mu, nu) -> Polynomial:
     """[X_mu]^T restricted to the fixed point of nu, computed standalone.
 
-    The subword sum of _subword_sums with the representative of mu as its
-    target, so only products up to its length are carried.  A class of one
-    component of OG(n,2n) vanishes on the other.
+    Billey's sum aimed at the representative w of mu: each product x of the
+    letters read so far is carried as u = w x^-1, starting from u = w.  s_i
+    extends x exactly when u s_i is shorter than u, for then the lengths of
+    u s_i and s_i x add up to that of w, so s_i x is a longer right factor
+    of w and lies in W^P; the sum ends at u = 1.  A class of one component
+    of OG(n,2n) vanishes on the other.
     """
     p_mu, w = _coset(space, validate_symbol(space, mu))
     p_inds, v = _coset(space, validate_symbol(space, nu))
-    zero = Polynomial.zero(space.torus_rank)
+    lie, zero = space.lie_type, Polynomial.zero(space.torus_rank)
     if p_mu != p_inds:
         return zero
-    return _subword_sums(v, space.lie_type, p_inds, w).get(w, zero)
+    sums = {w: Polynomial.one(space.torus_rank)}
+    for i, beta in reversed(_word_with_roots(v, lie)):
+        for u, val in list(sums.items()):
+            if not right_ascent(u, i, lie):
+                y = apply_simple(u, i, lie)
+                term = val * beta
+                sums[y] = sums[y] + term if y in sums else term
+    return sums.get(identity_element(len(w)), zero)
 
 
 def type_d_restriction(space: Space, nu, q: int) -> Polynomial:

@@ -322,12 +322,12 @@ class Polynomial:
 
     def render(self, prefix: str = "t", names: Optional[Sequence[str]] = None) -> str:
         """Human-readable form, e.g. ``t2*t5 - t1*t2 - t1*t5 + t1^2``."""
-        if not self._terms:
-            return "0"
         if names is None:
             names = [f"{prefix}{i}" for i in range(1, self.nvars + 1)]
         elif len(names) != self.nvars:
             raise InputError("wrong number of variable names")
+        if not self._terms:
+            return "0"
         fields = list(zip(names, range(_WIDTH * (self.nvars - 1), -1, -_WIDTH)))
         parts = []
         for key in sorted(self._terms, reverse=True):

@@ -7,6 +7,7 @@ consistency failures exit 2.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -207,6 +208,20 @@ def test_expand_tilde_uses_the_second_family(capsys):
     )
     assert code == 0
     assert out.splitlines() == ["{3,5}: -t1 - t3", "{2,4}: 1"]
+
+
+def test_type_d_expand_at_scale_prints_its_pinned_output(capsys):
+    # OG(5,20) at degree 14 runs the orthogonal_restriction branch on the
+    # larger even orthogonal spaces that no small case reaches
+    code, out, err = run_cli(
+        capsys, "expand", "--type", "D", "--n", "10", "--m", "5",
+        "--lambda", "1,2,3,7,16", "--p", "14",
+    )
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 36
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b6a4cbd74cb83c9ee2ed513336fd74a5a6f1e832d60f5ae2310d878e87389bdd"
+    )
 
 
 def test_restrict_matches_worked_values(capsys):

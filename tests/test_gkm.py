@@ -13,7 +13,6 @@ from eqpieri.gkm import (
     alpha_vector,
     apply_simple,
     compose,
-    element_length,
     fixed_point_restriction,
     identity_element,
     longest_element,
@@ -79,7 +78,7 @@ def test_representative_lengths_equal_codimension():
     for space in (GR25, SG26, OG27, OG26, OG28):
         for lam in enumerate_symbols(space):
             w = _representative(space, lam)
-            assert element_length(w, space.lie_type) == codim(space, lam)
+            assert len(reduced_word(w, space.lie_type)) == codim(space, lam)
 
 
 def test_type_a_agreement_with_restriction_formula():
@@ -134,7 +133,7 @@ def test_maximal_space_representatives_cover_both_components():
             w = _representative(maximal, lam)
             assert sum(1 for x in u if x < 0) % 2 == 0
             assert sum(1 for x in w if x < 0) % 2 == 0
-            assert element_length(w, "D") == codim(maximal, lam), lam
+            assert len(reduced_word(w, "D")) == codim(maximal, lam), lam
             families.add(parabolic_indices(maximal, lam))
         assert len(families) == 2
     assert symbol_to_weyl(Space("D", 3, 3), (2, 3, 6)) == (2, 3, 1)
@@ -194,6 +193,38 @@ def test_pruned_restrictions_equal_the_full_billey_sum(space):
         for mu in symbols:
             assert engine.restriction(mu, nu) == expected[mu]
             assert fixed_point_restriction(space, mu, nu) == expected[mu]
+
+
+@pytest.mark.parametrize(
+    "space",
+    (Space("A", 3, 6), Space("B", 3, 4), Space("B", 1, 4), Space("C", 3, 4), Space("C", 1, 4),
+     OG38, Space("D", 4, 4), Space("D", 2, 5), Space("D", 5, 5)),
+    ids=lambda space: space.name(),
+)
+def test_targeted_restriction_equals_the_column(space):
+    # the sum aimed at mu's representative equals the untargeted W^P column,
+    # which the test above pins to the full Billey sum
+    engine = GkmEngine(space)
+    symbols = enumerate_symbols(space)
+    for nu in symbols:
+        for mu in symbols:
+            assert fixed_point_restriction(space, mu, nu) == engine.restriction(mu, nu)
+
+
+@pytest.mark.parametrize("nu", ((5, 12, 13, 15, 16), (1, 5, 10, 13, 16), (1, 4, 7, 8, 14)))
+def test_type_d_restriction_carries_only_right_factors_of_the_target(nu, monkeypatch):
+    # carrying every W^P product up to the target's length took 171, 542 and
+    # 703 products here; right factors of the target take 13, 29 and 36
+    calls = []
+    mul = Polynomial.__mul__
+
+    def counted(a, b):
+        calls.append(None)
+        return mul(a, b)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    type_d_restriction(Space("D", 5, 9), nu, 11)
+    assert 0 < len(calls) <= 60
 
 
 def test_maximal_type_d_restriction_equals_the_reference_by_swap_and_twist():
@@ -432,7 +463,6 @@ def test_reduced_words_multiply_back():
     for space in (SG26, OG26, OG28):
         lie, rank = space.lie_type, space.n
         w0 = longest_element(lie, rank)
-        assert element_length(w0, lie) == len(reduced_word(w0, lie))
         w = identity_element(rank)
         for i in reduced_word(w0, lie):
             w = apply_simple(w, i, lie)

@@ -429,9 +429,11 @@ def test_render_forms():
     assert p.render(names=["v1", "v2", "w"]) == "-3*v1*w^2 + v2 - 7"
     assert p.render(prefix="v") == "-3*v1*v3^2 + v2 - 7"
     assert const(-1, 0).render() == "-1"
-    for names in (["x", "y"], ["x", "y", "z", "u"]):
-        with pytest.raises(InputError, match="^wrong number of variable names$"):
-            p.render(names=names)
+    assert Polynomial.zero(3).render(names=["x", "y", "z"]) == "0"
+    for q in (p, Polynomial.zero(3)):  # zero checks its names like any other
+        for names in (["x"], ["x", "y"], ["x", "y", "z", "u"]):
+            with pytest.raises(InputError, match="^wrong number of variable names$"):
+                q.render(names=names)
 
 
 @st.composite
