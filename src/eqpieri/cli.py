@@ -79,10 +79,12 @@ def _add_choice_flags(parser):
 
 
 def build_parser() -> _Parser:
+    """The top-level parser; its ``commands`` maps each sub-command to its parser."""
     parser = _Parser(prog="eqpieri",
                      description="equivariant Pieri coefficients for "
                                  "classical Grassmannians")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p_pieri = sub.add_parser("pieri", parents=[], help="one structure coefficient")
     _add_space_flags(p_pieri)
@@ -280,11 +282,28 @@ _COMMANDS = {
 _parser: Optional[_Parser] = None
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """What ``_parser.parse_args(argv)`` returns, or the same exit.
+
+    When argv[0] names a sub-command, the top-level pass would only hand
+    the rest to that sub-command's parser, so that parser reads it
+    directly; what it leaves over is refused with the top-level message.
+    """
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
+    sub = _parser.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return _parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        _parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return _COMMANDS[args.command](args)
     except InputError as exc:

@@ -237,20 +237,23 @@ def minimal_representative(w: Element, p_inds, lie: str) -> Element:
 # -- restrictions -------------------------------------------------------------
 
 
-def _word_with_roots(v: Element, lie: str):
-    """Reduced word of v together with the inversion root before each letter,
-    mapped by t_i -> w0(t_i)."""
-    word = reduced_word(v, lie)
+def _word_with_prefixes(v: Element, lie: str):
+    """Reduced word of v, each letter with the product of the letters before it."""
     prefix = identity_element(len(v))
-    w0 = longest_element(lie, len(v))
     out = []
-    for i in word:
-        vec = act_on_vector(prefix, alpha_vector(lie, len(v), i))
-        if not vector_positive(vec):
-            raise ConsistencyError("prefix root of a reduced word must be positive")
-        out.append((i, Polynomial.linear(act_on_vector(w0, vec))))
+    for i in reduced_word(v, lie):
+        out.append((i, prefix))
         prefix = apply_simple(prefix, i, lie)
     return out
+
+
+def _root(prefix: Element, i: int, lie: str, w0: Element) -> Polynomial:
+    """The inversion root prefix(alpha_i) of a reduced word, mapped by
+    t_i -> w0(t_i)."""
+    vec = act_on_vector(prefix, alpha_vector(lie, len(prefix), i))
+    if not vector_positive(vec):
+        raise ConsistencyError("prefix root of a reduced word must be positive")
+    return Polynomial.linear(act_on_vector(w0, vec))
 
 
 def _subword_sums(v: Element, lie: str, p_inds) -> Dict[Element, Polynomial]:
@@ -262,10 +265,12 @@ def _subword_sums(v: Element, lie: str, p_inds) -> Dict[Element, Polynomial]:
     on the word of v, so the sums at W^P are those of the full subword sum.
     Each x is carried with its inverse, on which s_i x is one position edit.
     """
-    one = identity_element(len(v))
+    one, w0 = identity_element(len(v)), longest_element(lie, len(v))
+    zero = Polynomial.zero(len(v))
     sums = {one: Polynomial.one(len(v))}
     inverses = {one: one}
-    for i, beta in reversed(_word_with_roots(v, lie)):
+    for i, prefix in reversed(_word_with_prefixes(v, lie)):
+        beta = _root(prefix, i, lie, w0)
         for x, val in list(sums.items()):  # each letter is used at most once
             x_inv = inverses[x]
             if not right_ascent(x_inv, i, lie):
@@ -275,8 +280,7 @@ def _subword_sums(v: Element, lie: str, p_inds) -> Dict[Element, Polynomial]:
             if not all(right_ascent(y, j, lie) for j in p_inds):
                 continue
             inverses[y] = y_inv
-            term = val * beta
-            sums[y] = sums[y] + term if y in sums else term
+            sums[y] = sums.get(y, zero)._add_product(val, beta)
     return sums
 
 
@@ -295,21 +299,25 @@ def fixed_point_restriction(space: Space, mu, nu) -> Polynomial:
     letters read so far is carried as u = w x^-1, starting from u = w.  s_i
     extends x exactly when u s_i is shorter than u, for then the lengths of
     u s_i and s_i x add up to that of w, so s_i x is a longer right factor
-    of w and lies in W^P; the sum ends at u = 1.  A class of one component
-    of OG(n,2n) vanishes on the other.
+    of w and lies in W^P; the sum ends at u = 1.  A letter's root is built
+    when a state first extends by that letter, since many letters extend
+    none.  A class of one component of OG(n,2n) vanishes on the other.
     """
     p_mu, w = _coset(space, validate_symbol(space, mu))
     p_inds, v = _coset(space, validate_symbol(space, nu))
     lie, zero = space.lie_type, Polynomial.zero(space.torus_rank)
     if p_mu != p_inds:
         return zero
+    w0 = longest_element(lie, len(v))
     sums = {w: Polynomial.one(space.torus_rank)}
-    for i, beta in reversed(_word_with_roots(v, lie)):
+    for i, prefix in reversed(_word_with_prefixes(v, lie)):
+        beta = None
         for u, val in list(sums.items()):
             if not right_ascent(u, i, lie):
+                if beta is None:
+                    beta = _root(prefix, i, lie, w0)
                 y = apply_simple(u, i, lie)
-                term = val * beta
-                sums[y] = sums[y] + term if y in sums else term
+                sums[y] = sums.get(y, zero)._add_product(val, beta)
     return sums.get(identity_element(len(w)), zero)
 
 
@@ -415,6 +423,7 @@ class GkmEngine:
                 f"the expansion of [{list(lam)}]*[{list(sigma)}] at {list(s)}",
             )
             out[s] = c
+            minus_c = -c
             for s2 in candidates:
-                h[s2] = h[s2] - c * restriction(s, s2)
+                h[s2] = h[s2]._add_product(minus_c, restriction(s, s2))
         return out

@@ -7,9 +7,14 @@ x_1, x_2, ... in turn.  So int order is graded lex, a product of monomials is
 one int addition, and the leading term is ``max`` of the keys.  Output lists
 terms in that order, largest first, so it is deterministic.  The top bit of
 each field is a guard, never set in a stored key: a total degree above
-``_LIMIT`` (32767) is refused in ``__mul__``, the only place a degree grows,
-before it could carry into the next field; division subtracts keys with every
-guard set, and a field whose exponent would go negative clears its guard.
+``_LIMIT`` (32767) is refused in ``_add_product``, the only place a degree
+grows, before it could carry into the next field; division subtracts keys
+with every guard set, and a field whose exponent would go negative clears
+its guard.  ``_add_product`` is the one product loop: it returns acc + a*b,
+adding each term pair of a*b straight into a copy of acc's dict, so loops
+that accumulate products (the row recursion of ``restrict_a``, Billey's sums
+and the triangular elimination in ``gkm``, the Horner step below) never
+build a product on its own, and ``__mul__`` is its case acc = 0.
 ``terms`` is the same mapping keyed by exponent tuples, built on read.
 Variables are positional and 1-based in printed output: the equivariant
 parameters of an ambient torus.  Callers choose the display prefix ("t" for
@@ -165,17 +170,31 @@ class Polynomial:
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self + (-other)
+        self._require_same_ring(other)
+        terms = dict(self._terms)
+        for key, coeff in other._terms.items():
+            new = terms.get(key, 0) - coeff
+            if new:
+                terms[key] = new
+            else:
+                terms.pop(key, None)
+        return Polynomial._of(self.nvars, terms)
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        self._require_same_ring(other)
-        if self.degree() + other.degree() > _LIMIT:
+        return Polynomial._of(self.nvars, {})._add_product(self, other)
+
+    def _add_product(self, a: "Polynomial", b: "Polynomial") -> "Polynomial":
+        """self + a*b, with each term pair of a*b added straight into a copy
+        of self's terms, so the product is never built on its own."""
+        self._require_same_ring(a)
+        self._require_same_ring(b)
+        if a.degree() + b.degree() > _LIMIT:
             raise InputError(f"product degree exceeds {_LIMIT}")
-        terms = {}
-        items = list(other._terms.items())
-        for key1, c1 in self._terms.items():
+        terms = dict(self._terms)
+        items = list(b._terms.items())
+        for key1, c1 in a._terms.items():
             for key2, c2 in items:
                 key = key1 + key2
                 new = terms.get(key, 0) + c1 * c2
@@ -192,9 +211,10 @@ class Polynomial:
 
         Horner's scheme: the terms are grouped by the exponent of variable
         i, each group is substituted in the later variables, and the groups
-        are folded from the top exponent down as acc = acc * images[i] +
-        group, so each step multiplies by one image, never by its powers.
-        Serves the type-D family twist.
+        are folded from the top exponent down as acc = group + acc *
+        images[i], one fused ``_add_product`` per step, so each step
+        multiplies by one image, never by its powers.  Serves the type-D
+        family twist.
         """
         if len(images) != self.nvars:
             raise InputError(
@@ -207,6 +227,8 @@ class Polynomial:
             if img.nvars != target:
                 raise InputError("images live in different rings")
 
+        zero = Polynomial.zero(target)
+
         def fold(items, i):
             # items share their exponents before i, so at the end one is left
             if i == self.nvars:
@@ -215,11 +237,10 @@ class Polynomial:
             groups = {}
             for item in items:
                 groups.setdefault((item[0] >> shift) & _MASK, []).append(item)
-            acc = Polynomial.zero(target)
+            acc = zero
             for k in range(max(groups, default=0), -1, -1):
-                acc = acc * images[i]
-                if k in groups:
-                    acc = acc + fold(groups[k], i + 1)
+                group = fold(groups[k], i + 1) if k in groups else zero
+                acc = group._add_product(acc, images[i])
             return acc
 
         return fold(list(self._terms.items()), 0)

@@ -79,7 +79,7 @@ def restriction_coefficient(space: Space, nu, p: int, images=None) -> Polynomial
     for i in range(p):
         total = Polynomial.zero(nvars)
         for j in range(r):
-            total = total + row[j] * (images[b[i + j] - 1] - images[a[j] - 1])
+            total = total._add_product(row[j], images[b[i + j] - 1] - images[a[j] - 1])
             row[j] = total
     return row[-1]
 

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eqpieri
+from eqpieri import cli
 from eqpieri.cli import main
 from eqpieri.schubert import Space, enumerate_symbols, pieri_bound
 
@@ -547,3 +548,47 @@ def test_pieri_diagram_and_restrict_exit_cleanly(argv):
     code, _, err = call_main(argv)
     assert code in (0, 1, 2), (argv, err)
     assert "Traceback" not in err
+
+
+# -- direct sub-command dispatch against argparse's full top-level parse ----------
+
+_C42 = ["--type", "C", "--n", "4", "--m", "2"]
+_PIERI = ["pieri", *_C42, "--lambda", "1,2", "--mu", "1,2"]
+
+# every sub-command valid and invalid, and the argv shapes whose handling
+# argparse's top-level pass could change: help, no command, an unknown one,
+# "--", "--flag=value", abbreviations, negative numbers, stray positionals
+# and unknown options
+DISPATCH_CORPUS = [
+    [], ["-h"], ["--help"], ["--he"], ["-x"], ["frobnicate"], ["Pieri", *_C42],
+    ["--", *_PIERI, "--p", "1"], ["pieri"], ["pieri", "-h"], ["pieri", "--help"],
+    [*_PIERI, "--p", "1"], [*_PIERI, "--p=3", "--json", "--certify"],
+    ["pieri", *_C42, "--lam", "1,2", "--mu", "1,2", "--p", "2", "--cert"],
+    [*_PIERI, "--p", "-1"], [*_PIERI, "--p", "1", "--tilde"], [*_PIERI, "--p", "1", "--"],
+    ["pieri", "--", *_C42], [*_PIERI, "--p", "1", "stray"], ["pieri", "stray", *_C42],
+    [*_PIERI, "--p", "1", "--bogus"], [*_PIERI, "--p", "1", "--bogus", "x", "y"],
+    [*_PIERI, "--p", "1", "--chat", "-2", "--pivot", "3,4"], [*_PIERI],
+    ["expand", *_C42, "--lambda", "2,4", "--p", "2"],
+    ["expand", *_C42, "--lambda", "2,4", "--p", "2", "--certify", "--json"],
+    ["expand", *_C42, "--p", "2"], ["expand", *_C42, "--lambda", "2,4", "--p", "2", "--mu", "1,2"],
+    ["restrict", *_C42, "--lambda", "2,4", "--p", "1"],
+    ["restrict", *_C42, "--lambda", "2,4", "--p", "1", "--tilde"],
+    ["oracle", *_C42, "--lambda", "2,4", "--mu", "2,4", "--p", "1", "--json"],
+    ["oracle", *_C42, "--lambda", "2,4", "--mu", "2,4", "--p", "x"],
+    ["verify", "--seed", "-3"], ["verify", "--seed"], ["verify", "--suite", "small"],
+    ["diagram", *_C42, "--lambda", "2,4", "--mu", "1,2", "--p", "2"],
+    ["diagram", *_C42, "--lambda", "2,4", "--mu", "1,2", "--p", "2", "--pivot", "x"],
+    ["enumerate", *_C42], ["enumerate", *_C42, "--json"], ["enumerate", *_C42, "--lambda", "1,2"],
+    ["enumerate", "--type", "E", "--n", "4", "--m", "2"], ["enumerate", "-h", "--type", "E"],
+]
+
+
+def test_the_corpus_names_every_sub_command():
+    assert {argv[0] for argv in DISPATCH_CORPUS if argv} >= set(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("argv", DISPATCH_CORPUS, ids=lambda argv: " ".join(argv) or "(none)")
+def test_a_named_sub_command_runs_as_after_the_full_parse(argv, monkeypatch):
+    direct = call_main(list(argv))
+    monkeypatch.setattr(cli, "_parse_args", lambda a: cli.build_parser().parse_args(a))
+    assert call_main(list(argv)) == direct

@@ -86,6 +86,11 @@ def test_ring_laws_at_random_points(evaluate, random_poly):
         assert evaluate((p + q) * r, point) == (pv + qv) * rv
         assert evaluate(-p, point) == -pv
         assert evaluate(p * const(3, nvars) + const(2, nvars), point) == 3 * pv + 2
+        # __sub__ runs its own loop, not p + (-q)
+        assert p - q == p + (-q)
+        assert (p - q) + q == p
+        assert (p - p).is_zero
+        assert q - p == -(p - q)
     assert p + q == q + p
     assert p * q == q * p
 
@@ -417,6 +422,53 @@ def test_packed_core_equals_the_tuple_reference(polynomial, case):
             "nvars": nvars,
             "terms": [{"coeff": c, "exp": list(exp)} for exp, c in ref_sorted(ref)],
         }
+
+
+@st.composite
+def add_product_cases(draw):
+    """acc, a and b on one ring; acc often cancels part or all of a*b."""
+    nvars = draw(st.integers(0, 4))
+    a, b = draw(term_dicts(nvars, 3, 4)), draw(term_dicts(nvars, 2, 3))
+    acc = draw(term_dicts(nvars, 5, 5))
+    cancel = draw(st.sampled_from(["none", "part", "all"]))
+    if cancel != "none":
+        product = ref_mul(a, b)
+        for exp, coeff in product.items():
+            if cancel == "all" or draw(st.booleans()):
+                acc[exp] = -coeff
+    return nvars, acc, a, b
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(add_product_cases())
+@example((2, {}, {}, {}))
+@example((2, {(1, 0): 1}, {}, {(0, 1): 2}))
+@example((2, {(1, 1): -1}, {(1, 0): 1}, {(0, 1): 1}))
+def test_add_product_is_sum_with_the_product(polynomial, case):
+    nvars, acc, a, b = case
+    pacc, pa, pb = (polynomial(nvars, terms) for terms in (acc, a, b))
+    before = [dict(p._terms) for p in (pacc, pa, pb)]
+    result = pacc._add_product(pa, pb)
+    assert result == pacc + pa * pb
+    assert result.terms == ref_add(acc, ref_mul(a, b))
+    assert all(result._terms.values())
+    assert [p._terms for p in (pacc, pa, pb)] == before
+    assert pacc._add_product(pb, pa) == result
+    assert (-(pa * pb))._add_product(pa, pb).is_zero
+
+
+def test_add_product_checks_rings_and_the_degree_limit():
+    x, y = t(1, 2), t(2, 2)
+    one3 = Polynomial.one(3)
+    for acc, a, b in ((one3, x, y), (x, one3, y), (x, y, one3)):
+        with pytest.raises(InputError, match="mixed variable counts"):
+            acc._add_product(a, b)
+    top = power(x, _LIMIT)
+    assert x._add_product(top, Polynomial.one(2)) == x + top
+    with pytest.raises(InputError, match="product degree exceeds"):
+        Polynomial.zero(2)._add_product(top, y)
+    with pytest.raises(InputError, match="product degree exceeds"):
+        x._add_product(power(y, 2), top)
 
 
 def test_render_forms():
