@@ -28,10 +28,7 @@ from .polyring import (
     RootBasis,
     root_positivity_certificate,
 )
-from .restrict_a import (
-    restriction_coefficient,
-    schur_identity_check,
-)
+from .restrict_a import restriction_coefficient
 from .schubert import (
     Space,
     codim,
@@ -68,7 +65,6 @@ __all__ = [
     "preceq",
     "restriction_coefficient",
     "root_positivity_certificate",
-    "schur_identity_check",
     "special_symbol",
     "type_d_restriction",
     "validate_symbol",

@@ -7,15 +7,13 @@ prints these records and the acceptance tests read them.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterator
 
 from .diagram import _arrow
 from .gkm import GkmEngine
 from .pieri import compute_pieri
 from .polyring import Polynomial
-from .restrict_a import schur_identity_check
 from .schubert import Space, Symbol, own_special_class, pieri_bound
 
 # the spaces of ``eqpieri verify`` and of the acceptance sweep
@@ -50,15 +48,3 @@ def audit(space: Space, tilde: bool = False) -> Iterator[AuditRecord]:
                     expansion.get(mu, zero),
                 )
 
-
-def identity_failures(seed: int, count: int) -> List[Tuple[List[int], List[int]]]:
-    """The (xs, ys) among count seeded instances that fail schur_identity_check."""
-    rng = random.Random(seed)
-    failures = []
-    for _ in range(count):
-        r = rng.randint(1, 5)
-        p = rng.randint(1, 5)
-        pool = rng.sample(range(-20, 21), 2 * r + p - 1)
-        if not schur_identity_check(pool[:r], pool[r:]):
-            failures.append((pool[:r], pool[r:]))
-    return failures

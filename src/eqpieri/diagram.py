@@ -232,6 +232,14 @@ class PieriDiagram:
         return "\n".join(lines)
 
 
+def _check_choices(space: Space, chat, pivot) -> None:
+    """Refuse a dropped column outside types B and D, and a pivot outside C."""
+    if chat is not None and space.lie_type not in ("B", "D"):
+        raise InputError("a dropped column only exists in the orthogonal types")
+    if pivot is not None and space.lie_type != "C":
+        raise InputError("pivot replacement only applies to symplectic spaces")
+
+
 def build(
     space: Space,
     lam,
@@ -259,10 +267,7 @@ def build(
         raise InputError(
             f"no arrow from {list(lam)} to {list(mu)}: the coefficient vanishes"
         )
-    if chat is not None and t not in ("B", "D"):
-        raise InputError("a dropped column only exists in the orthogonal types")
-    if pivot is not None and t != "C":
-        raise InputError("pivot replacement only applies to symplectic spaces")
+    _check_choices(space, chat, pivot)
 
     zeros = zero_columns(space, lam, mu)
     L = l_columns(space, lam, mu, zeros)

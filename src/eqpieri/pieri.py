@@ -29,7 +29,8 @@ n <-> n+1 in lambda and mu and twisting the result by t_n -> -t_n.
 Outside the orthogonal restriction the branches differ only in their type A
 terms: the one term nu, the terms nu_I in subset order, or the one term nu+.
 compute_pieri sums the terms' restriction coefficients in one loop, through
-the specialization outside type A, and halves exactly on the halving branch.
+the specialization (the identity in type A), and halves exactly on the
+halving branch.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .diagram import PieriDiagram, _arrow, build, iter_subsets
-from .errors import ConsistencyError, InputError
+from .diagram import PieriDiagram, _arrow, _check_choices, build, iter_subsets
+from .errors import ConsistencyError
 from .gkm import type_d_restriction
 from .polyring import Polynomial, PositivityCertificate, RootBasis, root_positivity_certificate
 from .restrict_a import restriction_coefficient
@@ -49,7 +50,6 @@ from .schubert import (
     Symbol,
     _codim,
     _graded_symbols,
-    family_twist_images,
     special_class,
     swap_wall_letters,
     validate_symbol,
@@ -61,11 +61,10 @@ def specialization_images(space: Space) -> Tuple[Polynomial, ...]:
     """Images of the N ambient weights under the folding specialization.
 
     t_j -> t_j for j <= n and t_j -> -t_{N+1-j} for j above the fold; in
-    type B the middle weight t_{n+1} is sent to zero.  Built once per space.
+    type B the middle weight t_{n+1} is sent to zero.  In type A, where n = N
+    and nothing folds, every weight is its own image.  Built once per space.
     """
-    if space.lie_type == "A":
-        raise InputError("type A coefficients are never specialized")
-    n, N = space.n, space.ambient
+    n, N = space.torus_rank, space.ambient
     images: List[Polynomial] = []
     for j in range(1, N + 1):
         if j <= n:
@@ -127,6 +126,7 @@ def compute_pieri(
     lam = validate_symbol(space, lam)
     mu = validate_symbol(space, mu)
     special_class(space, p, tilde)
+    _check_choices(space, chat, pivot)
     nvars = space.torus_rank
     if tilde:
         inner = compute_pieri(
@@ -137,7 +137,7 @@ def compute_pieri(
             chat=chat,
             pivot=pivot,
         )
-        value = inner.value.substitute(family_twist_images(space.n))
+        value = inner.value._scale(-1, range(space.n - 1, space.n))  # t_n -> -t_n
         return PieriComputation(
             space, lam, mu, p, True, inner.diagram, inner.terms, value
         )
@@ -159,7 +159,7 @@ def compute_pieri(
             symbols = [
                 (I if d.branch == "sum" else None, d.nu_I(I)) for I in iter_subsets(d.sum_set)
             ]
-        images = None if space.lie_type == "A" else specialization_images(space)
+        images = specialization_images(space)
         terms = [
             PieriTerm(I, Space("A", len(nu), space.ambient), nu, d.p_prime)
             for I, nu in symbols

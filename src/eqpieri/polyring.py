@@ -213,8 +213,9 @@ class Polynomial:
         i, each group is substituted in the later variables, and the groups
         are folded from the top exponent down as acc = group + acc *
         images[i], one fused ``_add_product`` per step, so each step
-        multiplies by one image, never by its powers.  Serves the type-D
-        family twist.
+        multiplies by one image, never by its powers.  Nothing in the
+        package calls it: the rule folds each linear factor and twists by
+        ``_scale``, and the tests compare both against it.
         """
         if len(images) != self.nvars:
             raise InputError(
@@ -409,7 +410,7 @@ class RootBasis:
     def __post_init__(self):
         if self.lie_type not in ("A", "B", "C", "D"):
             raise InputError(f"unknown Lie type {self.lie_type!r}")
-        if self.n < 1:
+        if as_int(self.n, "rank") < 1:
             raise InputError("rank must be at least 1")
         if self.lie_type == "D" and self.n < 2:
             raise InputError("type D needs rank at least 2")

@@ -29,16 +29,11 @@ and the coefficient is S_p(p+r-1): p*r products of a polynomial with one
 linear factor.  restriction_coefficient reads a and b off nu and runs these
 rows itself.  Every S_i(c) is a sum of products of the same factors
 t_j - t_i with i < j, so the value stays manifestly positive.  The subword
-sum comes from evaluating a partial-fraction identity proved by
-schur_identity_check below, which callers can replay at random integer
-points with exact rational arithmetic.
+sum comes from evaluating a partial-fraction identity, which the tests
+replay at random integer points with exact rational arithmetic.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-from itertools import combinations
-from typing import Sequence
 
 from .errors import ConsistencyError, InputError, as_int
 from .polyring import Polynomial
@@ -83,35 +78,3 @@ def restriction_coefficient(space: Space, nu, p: int, images=None) -> Polynomial
             row[j] = total
     return row[-1]
 
-
-def schur_identity_check(xs: Sequence, ys: Sequence) -> bool:
-    """Verify the partial-fraction identity behind the subword formula.
-
-    xs must be pairwise distinct; p = len(ys) - len(xs) + 1 >= 0.  Both
-    sides are evaluated exactly over the rationals.
-    """
-    xs = [Fraction(x) for x in xs]
-    ys = [Fraction(y) for y in ys]
-    r = len(xs)
-    p = len(ys) - r + 1
-    if p < 0:
-        raise InputError("need len(ys) >= len(xs) - 1")
-    if len(set(xs)) != r:
-        raise InputError("x values must be pairwise distinct")
-    lhs = Fraction(0)
-    for j in range(r):
-        num = Fraction(1)
-        for y in ys:
-            num *= y - xs[j]
-        den = Fraction(1)
-        for i in range(r):
-            if i != j:
-                den *= xs[i] - xs[j]
-        lhs += num / den
-    rhs = Fraction(0)
-    for cs in combinations(range(1, p + r), p):
-        term = Fraction(1)
-        for i, c in enumerate(cs):
-            term *= ys[c - 1] - xs[c - i - 1]
-        rhs += term
-    return lhs == rhs

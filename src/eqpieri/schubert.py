@@ -35,7 +35,6 @@ from itertools import combinations, product
 from typing import List, Sequence, Tuple
 
 from .errors import InputError, as_int
-from .polyring import Polynomial
 
 Symbol = Tuple[int, ...]
 
@@ -200,13 +199,6 @@ def swap_wall_letters(space: Space, sym: Sequence[int]) -> Symbol:
     n = space.n
     flipped = [n + 1 if c == n else n if c == n + 1 else c for c in sym]
     return tuple(sorted(flipped))
-
-
-def family_twist_images(n: int) -> List[Polynomial]:
-    """t_n -> -t_n, the torus action of the outer symmetry in type D."""
-    images = [Polynomial.variable(i, n) for i in range(1, n)]
-    images.append(-Polynomial.variable(n, n))
-    return images
 
 
 def special_class(space: Space, p: int, tilde: bool = False) -> Symbol:

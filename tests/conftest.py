@@ -1,9 +1,11 @@
 """References shared by several test modules."""
 
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 import pytest
 
+from eqpieri.errors import InputError
 from eqpieri.polyring import Polynomial
 
 
@@ -65,6 +67,58 @@ def _symfn_coefficient(space, nu, p):
         sign = Polynomial.constant(-1 if (p - k) % 2 else 1, N)
         total = total + elementary * complete * sign
     return total
+
+
+def _family_twist_images(n):
+    """t_n -> -t_n, the torus action of the outer symmetry in type D."""
+    return [Polynomial.variable(i, n) for i in range(1, n)] + [-Polynomial.variable(n, n)]
+
+
+def _schur_identity_check(xs, ys):
+    """The partial-fraction identity behind the restrict_a subword formula,
+
+        sum_j prod_y (y - x_j) / prod_{i != j} (x_i - x_j)
+            = sum over 1 <= c_1 < ... < c_p <= p+r-1 of prod_i (y_{c_i} - x_{c_i-i+1}),
+
+    at the rational point (xs, ys), both sides exactly; xs pairwise distinct
+    and p = len(ys) - len(xs) + 1 >= 0."""
+    xs = [Fraction(x) for x in xs]
+    ys = [Fraction(y) for y in ys]
+    r = len(xs)
+    p = len(ys) - r + 1
+    if p < 0:
+        raise InputError("need len(ys) >= len(xs) - 1")
+    if len(set(xs)) != r:
+        raise InputError("x values must be pairwise distinct")
+    lhs = Fraction(0)
+    for j in range(r):
+        num = Fraction(1)
+        for y in ys:
+            num *= y - xs[j]
+        den = Fraction(1)
+        for i in range(r):
+            if i != j:
+                den *= xs[i] - xs[j]
+        lhs += num / den
+    rhs = Fraction(0)
+    for cs in combinations(range(1, p + r), p):
+        term = Fraction(1)
+        for i, c in enumerate(cs):
+            term *= ys[c - 1] - xs[c - i - 1]
+        rhs += term
+    return lhs == rhs
+
+
+@pytest.fixture(scope="session")
+def family_twist_images():
+    """The images of t_1..t_n under the type-D twist t_n -> -t_n, for substitute."""
+    return _family_twist_images
+
+
+@pytest.fixture(scope="session")
+def schur_identity_check():
+    """Whether the type-A partial-fraction identity holds at one rational point."""
+    return _schur_identity_check
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ from eqpieri.diagram import (
     q_columns,
     zero_columns,
 )
-from eqpieri.errors import ConsistencyError, InputError
+from eqpieri.errors import InputError
 from eqpieri.schubert import Space, enumerate_symbols, pieri_bound
 
 GR38 = Space("A", 3, 8)

@@ -31,7 +31,6 @@ from eqpieri.schubert import (
     Space,
     codim,
     enumerate_symbols,
-    family_twist_images,
     own_special_class,
     pieri_bound,
     preceq,
@@ -227,7 +226,8 @@ def test_type_d_restriction_carries_only_right_factors_of_the_target(nu, monkeyp
     assert 0 < len(calls) <= 60
 
 
-def test_maximal_type_d_restriction_equals_the_reference_by_swap_and_twist():
+def test_maximal_type_d_restriction_equals_the_reference_by_swap_and_twist(
+        family_twist_images):
     maximal = Space("D", 3, 3)
     for q in range(1, pieri_bound(maximal) + 1):
         s_q = special_class(maximal, q)
@@ -243,7 +243,7 @@ def test_maximal_type_d_restriction_equals_the_reference_by_swap_and_twist():
             assert type_d_restriction(maximal, nu, q) == expected
 
 
-def test_second_special_class_is_the_oracles_twisted_swap_of_the_first():
+def test_second_special_class_is_the_oracles_twisted_swap_of_the_first(family_twist_images):
     # the outer symmetry of type D, in the oracle alone: multiplying lam by
     # the second special class is the n <-> n+1 swap and t_n -> -t_n twist of
     # multiplying swap(lam) by the first

@@ -12,7 +12,6 @@ from eqpieri.errors import InputError
 from eqpieri.gkm import GkmEngine
 from eqpieri.pieri import (
     compute_pieri,
-    family_twist_images,
     pieri_coefficient,
     pieri_expansion,
     positivity_certificate,
@@ -108,7 +107,7 @@ def test_symplectic_classical_coefficients_count_subsets():
                 assert value.terms.get((0,) * space.n, 0) == 2 ** len(d.Q)
 
 
-def test_second_family_matches_the_twisted_swap():
+def test_second_family_matches_the_twisted_swap(family_twist_images):
     # the tilde coefficient is the t_n -> -t_n twist of the swapped plain one
     space = OG28
     p = 2
@@ -256,6 +255,34 @@ def test_degree_zero_and_range_errors():
         pieri_coefficient(OG28, (4, 8), (3, 7), 3, tilde=True)
 
 
+WRONG_CHOICES = {
+    "chat": ("a dropped column only exists in the orthogonal types", {"chat": 2}),
+    "pivot": ("pivot replacement only applies to symplectic spaces", {"pivot": (1,)}),
+}
+
+
+@pytest.mark.parametrize("space, choice", [
+    (Space("A", 2, 5), "chat"), (Space("A", 2, 5), "pivot"), (SG26, "chat"),
+    (OG27, "pivot"), (OG28, "pivot"), (OG26, "pivot"),
+])
+def test_a_choice_the_type_lacks_is_refused_for_every_pair(space, choice):
+    # whether or not lambda -> mu, at p = 0 and with the second special class
+    message, kwargs = WRONG_CHOICES[choice]
+    symbols = enumerate_symbols(space)
+    seen = set()
+    for lam in symbols:
+        for mu in symbols:
+            for p in range(pieri_bound(space) + 1):
+                tildes = (False, True) if space.lie_type == "D" and p == space.n - space.m else (False,)
+                for tilde in tildes:
+                    with pytest.raises(InputError, match=f"^{message}$"):
+                        compute_pieri(space, lam, mu, p, tilde=tilde, **kwargs)
+                    seen.add((arrow(space, lam, mu), p == 0, tilde))
+    assert {(True, True, False), (False, True, False), (True, False, False),
+            (False, False, False)} <= seen
+    assert space.lie_type != "D" or {(True, False, True), (False, False, True)} <= seen
+
+
 def test_thread_count_does_not_change_the_bytes(monkeypatch):
     # the library takes no thread count and never reads EQPIERI_THREADS
     result = pieri_coefficient(SG38, (2, 4, 8), (1, 3, 5), 5)
@@ -293,8 +320,8 @@ def test_specialization_images_shape():
     assert images[n].is_zero  # the middle weight dies in type B
     assert images[0] == Polynomial.variable(1, n)
     assert images[N - 1] == -Polynomial.variable(1, n)
-    with pytest.raises(InputError):
-        specialization_images(GR38)
+    # nothing folds in type A: every weight is its own image
+    assert specialization_images(GR38) == tuple(Polynomial.variable(j, 8) for j in range(1, 9))
 
 
 # every type with m in {0, 1, n-1, n}, the maximal OG(3,6) and OG(4,8) among them

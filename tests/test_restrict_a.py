@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from eqpieri.errors import InputError
 from eqpieri.pieri import specialization_images
 from eqpieri.polyring import Polynomial
-from eqpieri.restrict_a import restriction_coefficient, schur_identity_check
+from eqpieri.restrict_a import restriction_coefficient
 from eqpieri.schubert import Space, enumerate_symbols, leq, special_symbol
 
 
@@ -186,7 +186,7 @@ def test_matches_fixed_point_integration_numerically(marker_split, evaluate):
         assert lhs == evaluate(restriction_coefficient(space, nu, p), point)
 
 
-def test_schur_identity_random():
+def test_schur_identity_random(schur_identity_check):
     rng = random.Random(11)
     for _ in range(50):
         r = rng.randint(1, 5)

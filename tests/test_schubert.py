@@ -5,12 +5,12 @@ from itertools import combinations
 
 import pytest
 
-from eqpieri.cli import _COMMANDS, build_parser
+from eqpieri.cli import build_parser
 from eqpieri.diagram import arrow, build
 from eqpieri.errors import InputError
 from eqpieri.gkm import GkmEngine, fixed_point_restriction, type_d_restriction
 from eqpieri.pieri import compute_pieri, pieri_coefficient, pieri_expansion
-from eqpieri.polyring import Polynomial
+from eqpieri.polyring import Polynomial, RootBasis
 from eqpieri.restrict_a import restriction_coefficient
 from eqpieri.schubert import (
     Space,
@@ -75,7 +75,7 @@ def test_symbol_validation():
 def run_command(*argv):
     """One CLI command with InputError left uncaught, as main() would see it."""
     args = build_parser().parse_args([str(a) for a in argv])
-    return _COMMANDS[args.command](args)
+    return args.run(args)
 
 
 def cli_symbol(sym):
@@ -164,10 +164,11 @@ INTEGER_SLOTS = {
     "Polynomial.one nvars": ("nvars", lambda x: Polynomial.one(x)),
     "Polynomial.constant nvars": ("nvars", lambda x: Polynomial.constant(1, x)),
     "Polynomial.variable nvars": ("nvars", lambda x: Polynomial.variable(1, x)),
+    "RootBasis rank": ("rank", lambda x: RootBasis("B", x)),
 }
 
 
-@pytest.mark.parametrize("x", [2.5, "2"])
+@pytest.mark.parametrize("x", [2.5, 2.0, "2"])
 @pytest.mark.parametrize("entry", INTEGER_SLOTS)
 def test_every_integer_slot_rejects_a_float_and_a_string(entry, x):
     # neither truncated (2.5 -> 2) nor parsed ("2" -> 2), and no TypeError
