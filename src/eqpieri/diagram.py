@@ -232,12 +232,40 @@ class PieriDiagram:
         return "\n".join(lines)
 
 
-def _check_choices(space: Space, chat, pivot) -> None:
-    """Refuse a dropped column outside types B and D, and a pivot outside C."""
-    if chat is not None and space.lie_type not in ("B", "D"):
+def _check_choices(space: Space, p: int, chat, pivot) -> None:
+    """Refuse a dropped column outside types B and D or at a degree that drops
+    none (B: p <= n - m, D: p < n - m), and a pivot outside type C."""
+    t, n, m = space.lie_type, space.n, space.m
+    if chat is not None and t not in ("B", "D"):
         raise InputError("a dropped column only exists in the orthogonal types")
-    if pivot is not None and space.lie_type != "C":
+    if pivot is not None and t != "C":
         raise InputError("pivot replacement only applies to symplectic spaces")
+    if chat is not None and (p <= n - m if t == "B" else p < n - m):
+        raise InputError("no column is dropped from Q for these inputs")
+
+
+def _check_columns(space: Space, chat, pivot) -> None:
+    """Refuse the chat and pivot columns that no pair can take, for a pair
+    that build never sees: chat outside [2, n+1] (B) or [2, n] (D), where
+    Q lies, and pivot columns that repeat or leave [1, n].  build refuses
+    them too, against the pair's own Q and nu."""
+    n = space.n
+    if chat is not None:
+        top = n + 1 if space.lie_type == "B" else n
+        if not 2 <= as_int(chat, "chat") <= top:
+            raise InputError(f"chat = {chat} outside [2, {top}]")
+    if pivot is not None:
+        pivot = _pivot_columns(pivot)
+        for c in pivot:
+            if not 1 <= c <= n:
+                raise InputError(f"pivot column {c} outside [1, {n}]")
+
+
+def _pivot_columns(pivot) -> Tuple[int, ...]:
+    pivot = tuple(sorted(as_int(c, "pivot column") for c in pivot))
+    if len(set(pivot)) != len(pivot):
+        raise InputError("pivot columns must be distinct")
+    return pivot
 
 
 def build(
@@ -258,17 +286,31 @@ def build(
     lam = validate_symbol(space, lam)
     mu = validate_symbol(space, mu)
     special_class(space, p)
-    t, m, n, N = space.lie_type, space.m, space.n, space.ambient
     has_arrow = _arrow(space, lam, mu)
-    if t == "A":
+    if space.lie_type == "A":
         if not _leq(mu, lam):
             raise InputError(f"mu = {list(mu)} is not componentwise below lambda = {list(lam)}")
     elif not has_arrow:
         raise InputError(
             f"no arrow from {list(lam)} to {list(mu)}: the coefficient vanishes"
         )
-    _check_choices(space, chat, pivot)
+    _check_choices(space, p, chat, pivot)
+    return _build(space, lam, mu, p, chat, pivot, has_arrow)
 
+
+def _build(
+    space: Space,
+    lam: Symbol,
+    mu: Symbol,
+    p: int,
+    chat: Optional[int] = None,
+    pivot=None,
+    has_arrow: bool = True,
+) -> PieriDiagram:
+    """build's core, on checked symbols with mu <= lambda (the arrow outside
+    type A) and a checked p; chat and pivot have passed _check_choices, and
+    are checked here against the pair's Q and nu."""
+    t, m, n, N = space.lie_type, space.m, space.n, space.ambient
     zeros = zero_columns(space, lam, mu)
     L = l_columns(space, lam, mu, zeros)
     p_prime = _codim(space, lam) + p - _codim(space, mu)
@@ -301,9 +343,7 @@ def build(
 
     sum_set = Qprime if branch == "sum" else ()
     if pivot is not None:
-        pivot = tuple(sorted(as_int(c, "pivot column") for c in pivot))
-        if len(set(pivot)) != len(pivot):
-            raise InputError("pivot columns must be distinct")
+        pivot = _pivot_columns(pivot)
         if len(pivot) != len(Q):
             raise InputError(f"pivot needs exactly {len(Q)} columns, got {len(pivot)}")
         for c in pivot:

@@ -28,9 +28,16 @@ n <-> n+1 in lambda and mu and twisting the result by t_n -> -t_n.
 
 Outside the orthogonal restriction the branches differ only in their type A
 terms: the one term nu, the terms nu_I in subset order, or the one term nu+.
-compute_pieri sums the terms' restriction coefficients in one loop, through
+_diagram_value sums the terms' restriction coefficients in one loop, through
 the specialization (the identity in type A), and halves exactly on the
 halving branch.
+
+Input is checked once, at the public entry points.  compute_pieri and
+pieri_expansion validate their symbols and p and read the zero gate; each
+pair that passes is then evaluated by the private cores, which trust their
+input: diagram._build for the diagram, _diagram_value for its value, and
+restrict_a._restriction for each type A term.  compute_pieri also lists the
+terms as PieriTerm records, for provenance only.
 """
 
 from __future__ import annotations
@@ -40,11 +47,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .diagram import PieriDiagram, _arrow, _check_choices, build, iter_subsets
+from .diagram import PieriDiagram, _arrow, _build, _check_choices, _check_columns, iter_subsets
 from .errors import ConsistencyError
 from .gkm import type_d_restriction
 from .polyring import Polynomial, PositivityCertificate, RootBasis, root_positivity_certificate
-from .restrict_a import restriction_coefficient
+from .restrict_a import _restriction, restriction_coefficient
 from .schubert import (
     Space,
     Symbol,
@@ -112,6 +119,38 @@ class PieriComputation:
     value: Polynomial
 
 
+def _term_symbols(d: PieriDiagram):
+    """(I, nu) of each type A term: the one nu+ on the halving branch, the nu_I
+    in subset order on the sum branch, and type A's one nu (the subset () of
+    the empty sum set) on the restriction branch; I is None off the sum.  The
+    orthogonal restriction has no type A term."""
+    if d.branch == "orthogonal_restriction":
+        return []
+    if d.branch == "halving":
+        return [(None, d.nu_plus())]
+    return [(I if d.branch == "sum" else None, d.nu_I(I)) for I in iter_subsets(d.sum_set)]
+
+
+def _diagram_value(space: Space, d: PieriDiagram, tilde: bool) -> Polynomial:
+    """The coefficient a built diagram stands for, twisted by t_n -> -t_n when
+    the diagram was built on the letters swapped for tilde."""
+    if d.branch == "orthogonal_restriction":
+        value = type_d_restriction(Space("D", d.m_prime, space.n), d.nu, d.p_prime)
+    elif d.branch in ("restriction", "sum", "halving"):
+        images = specialization_images(space)
+        value = Polynomial.zero(space.torus_rank)
+        for _, nu in _term_symbols(d):
+            value = value + _restriction(space.ambient, nu, d.p_prime, images)
+        if d.branch == "halving":
+            value = value.divide_exact(
+                Polynomial.constant(2, space.torus_rank),
+                f"the halving branch for lambda={list(d.lam)}, mu={list(d.mu)}, p={d.p}",
+            )
+    else:
+        raise ConsistencyError(f"unknown reduction branch {d.branch!r}")
+    return value._scale(-1, range(space.n - 1, space.n)) if tilde else value
+
+
 def compute_pieri(
     space: Space,
     lam: Sequence[int],
@@ -126,55 +165,23 @@ def compute_pieri(
     lam = validate_symbol(space, lam)
     mu = validate_symbol(space, mu)
     special_class(space, p, tilde)
-    _check_choices(space, chat, pivot)
+    _check_choices(space, p, chat, pivot)
     nvars = space.torus_rank
-    if tilde:
-        inner = compute_pieri(
-            space,
-            swap_wall_letters(space, lam),
-            swap_wall_letters(space, mu),
-            p,
-            chat=chat,
-            pivot=pivot,
-        )
-        value = inner.value._scale(-1, range(space.n - 1, space.n))  # t_n -> -t_n
-        return PieriComputation(
-            space, lam, mu, p, True, inner.diagram, inner.terms, value
-        )
-    if p == 0:
-        value = Polynomial.one(nvars) if lam == mu else Polynomial.zero(nvars)
-        return PieriComputation(space, lam, mu, p, False, None, [], value)
-    if not _arrow(space, lam, mu) or _codim(space, mu) > _codim(space, lam) + p:
-        return PieriComputation(
-            space, lam, mu, p, False, None, [], Polynomial.zero(nvars)
-        )
-    d = build(space, lam, mu, p, chat=chat, pivot=pivot)
-    if d.branch == "orthogonal_restriction":
-        terms: List[PieriTerm] = []
-        value = type_d_restriction(Space("D", d.m_prime, space.n), d.nu, d.p_prime)
-    elif d.branch in ("restriction", "sum", "halving"):
-        if d.branch == "halving":
-            symbols = [(None, d.nu_plus())]
-        else:  # type A's restriction: the one subset () of the empty sum set
-            symbols = [
-                (I if d.branch == "sum" else None, d.nu_I(I)) for I in iter_subsets(d.sum_set)
-            ]
-        images = specialization_images(space)
-        terms = [
-            PieriTerm(I, Space("A", len(nu), space.ambient), nu, d.p_prime)
-            for I, nu in symbols
-        ]
-        value = Polynomial.zero(nvars)
-        for term in terms:
-            value = value + restriction_coefficient(term.inner_space, term.nu, term.p, images)
-        if d.branch == "halving":
-            value = value.divide_exact(
-                Polynomial.constant(2, nvars),
-                f"the halving branch for lambda={list(lam)}, mu={list(mu)}, p={p}",
-            )
-    else:
-        raise ConsistencyError(f"unknown reduction branch {d.branch!r}")
-    return PieriComputation(space, lam, mu, p, False, d, terms, value)
+    gate_lam, gate_mu = (
+        (swap_wall_letters(space, lam), swap_wall_letters(space, mu)) if tilde else (lam, mu)
+    )
+    if p == 0 or not _arrow(space, gate_lam, gate_mu) or (
+        _codim(space, gate_mu) > _codim(space, gate_lam) + p
+    ):
+        _check_columns(space, chat, pivot)
+        value = Polynomial.one(nvars) if p == 0 and lam == mu else Polynomial.zero(nvars)
+        return PieriComputation(space, lam, mu, p, tilde, None, [], value)
+    d = _build(space, gate_lam, gate_mu, p, chat, pivot)
+    terms = [
+        PieriTerm(I, Space("A", len(nu), space.ambient), nu, d.p_prime)
+        for I, nu in _term_symbols(d)
+    ]
+    return PieriComputation(space, lam, mu, p, tilde, d, terms, _diagram_value(space, d, tilde))
 
 
 def pieri_coefficient(
@@ -196,15 +203,22 @@ def pieri_expansion(
 ) -> Dict[Symbol, Polynomial]:
     """All nonzero coefficients of the product with the special class.
 
-    Only the mu that pass compute_pieri's own zero gate are evaluated:
-    lambda -> mu with codim lambda <= codim mu <= codim lambda + p, both read
-    on the swapped letters with tilde.  The arrow implies the lower bound, and
-    at codim lambda it holds only for mu = lambda, which covers p = 0.  The
-    swap n <-> n+1 keeps codim, so the walk covers one window of the graded
-    symbols.
+    lambda and p are validated once, here.  Only the mu that pass
+    compute_pieri's own zero gate are evaluated: lambda -> mu with
+    codim lambda <= codim mu <= codim lambda + p, both read on the swapped
+    letters with tilde.  The arrow implies the lower bound, and at
+    codim lambda it holds only for mu = lambda.  The swap n <-> n+1 keeps
+    codim, so the walk covers one window of the graded symbols.  Each
+    survivor goes straight to the cores that compute_pieri shares, _build
+    and _diagram_value, with no second check of its symbols.
     """
     lam = validate_symbol(space, lam)
     special_class(space, p, tilde)
+    if p == 0:
+        # the window holds mu = lambda alone, with coefficient 1, as in
+        # compute_pieri; on OG(n, 2n) the diagram of (lambda, lambda) takes the
+        # orthogonal branch, which reads 0 on one of the two families
+        return {lam: Polynomial.one(space.torus_rank)}
     gate_lam = swap_wall_letters(space, lam) if tilde else lam
     low = _codim(space, lam)
     graded = _graded_symbols(space)
@@ -212,9 +226,10 @@ def pieri_expansion(
     for c, mu in graded[bisect_left(graded, (low,)):]:
         if c > low + p:
             break
-        if not _arrow(space, gate_lam, swap_wall_letters(space, mu) if tilde else mu):
+        gate_mu = swap_wall_letters(space, mu) if tilde else mu
+        if not _arrow(space, gate_lam, gate_mu):
             continue
-        value = pieri_coefficient(space, lam, mu, p, tilde=tilde)
+        value = _diagram_value(space, _build(space, gate_lam, gate_mu, p), tilde)
         if not value.is_zero:
             out[mu] = value
     return out

@@ -26,11 +26,12 @@ subwords of length i ending at or before c,
                                                    c = i .. r+i-1,
 
 and the coefficient is S_p(p+r-1): p*r products of a polynomial with one
-linear factor.  restriction_coefficient reads a and b off nu and runs these
-rows itself.  Every S_i(c) is a sum of products of the same factors
-t_j - t_i with i < j, so the value stays manifestly positive.  The subword
-sum comes from evaluating a partial-fraction identity, which the tests
-replay at random integer points with exact rational arithmetic.
+linear factor.  restriction_coefficient checks its input; its core
+_restriction, which the Pieri rule calls on symbols it built, reads a and b
+off nu and runs these rows.  Every S_i(c) is a sum of products of the same
+factors t_j - t_i with i < j, so the value stays manifestly positive.  The
+subword sum comes from evaluating a partial-fraction identity, which the
+tests replay at random integer points with exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .schubert import Space, validate_symbol
 def restriction_coefficient(space: Space, nu, p: int, images=None) -> Polynomial:
     """N^nu_{nu,p} on Gr(m, N) as a polynomial in N torus parameters.
 
-    a and b are read off nu here, and row i holds S_i(c) for c = i..r+i-1.
+    a and b are read off nu, and row i holds S_i(c) for c = i..r+i-1.
     With images, t_j is sent to images[j-1] in each linear factor before the
     factors are multiplied, which is the same as substituting them into the
     result; the value then lies in the images' ring.
@@ -57,12 +58,18 @@ def restriction_coefficient(space: Space, nu, p: int, images=None) -> Polynomial
         images = [Polynomial.variable(j, N) for j in range(1, N + 1)]
     elif len(images) != N:
         raise InputError(f"need {N} images, got {len(images)}")
-    nvars = images[0].nvars
-    if p < 0 or p > N - space.m:
+    return _restriction(N, nu, p, images)
+
+
+def _restriction(N: int, nu, p: int, images) -> Polynomial:
+    """restriction_coefficient's core on Gr(len(nu), N), for a checked nu,
+    an integer p and N images."""
+    m, nvars = len(nu), images[0].nvars
+    if p < 0 or p > N - m:
         return Polynomial.zero(nvars)
     if p == 0:
         return Polynomial.one(nvars)
-    split = N - space.m - p + 1  # at least 1, since p <= N - m
+    split = N - m - p + 1  # at least 1, since p <= N - m
     a = [c for c in nu if c <= split]
     b = [c for c in range(split + 1, N + 1) if c not in nu]
     r = len(a)

@@ -1,5 +1,6 @@
 """Structure coefficients: worked values, invariants, and branch behavior."""
 
+import sys
 from itertools import combinations
 
 import pytest
@@ -283,6 +284,56 @@ def test_a_choice_the_type_lacks_is_refused_for_every_pair(space, choice):
     assert space.lie_type != "D" or {(True, False, True), (False, False, True)} <= seen
 
 
+# a dropped column or pivot set that no pair of the space takes at degree p
+PAIR_FREE_FAULTS = [
+    (OG27, 3, {"chat": 9}, "chat = 9 outside [2, 4]"),
+    (OG27, 2, {"chat": 1}, "chat = 1 outside [2, 4]"),
+    (OG27, 1, {"chat": 2}, "no column is dropped from Q for these inputs"),  # p <= n - m
+    (OG27, 0, {"chat": 4}, "no column is dropped from Q for these inputs"),
+    (OG26, 1, {"chat": 4}, "chat = 4 outside [2, 3]"),
+    (OG26, 0, {"chat": 2}, "no column is dropped from Q for these inputs"),
+    (OG28, 1, {"chat": 2}, "no column is dropped from Q for these inputs"),  # p < n - m
+    (OG28, 2, {"chat": 5}, "chat = 5 outside [2, 4]"),
+    (SG26, 0, {"pivot": (7,)}, "pivot column 7 outside [1, 3]"),
+    (SG26, 2, {"pivot": (0, 2)}, "pivot column 0 outside [1, 3]"),
+    (SG26, 1, {"pivot": (2, 2)}, "pivot columns must be distinct"),
+]
+
+
+@pytest.mark.parametrize("space, p, kwargs, message", PAIR_FREE_FAULTS)
+def test_a_choice_no_pair_takes_is_refused_for_every_pair(space, p, kwargs, message):
+    # whether or not lambda -> mu, and with the second special class where it
+    # exists; a pair past the zero gate keeps the message build gives it
+    # against its own Q and nu
+    symbols = enumerate_symbols(space)
+    tildes = (False, True) if space.lie_type == "D" and p == space.n - space.m else (False,)
+    seen = set()
+    for lam in symbols:
+        for mu in symbols:
+            for tilde in tildes:
+                gate = [swap_wall_letters(space, s) for s in (lam, mu)] if tilde else [lam, mu]
+                gated = p > 0 and arrow(space, *gate) and codim(space, mu) <= codim(space, lam) + p
+                for call in (compute_pieri, pieri_coefficient):
+                    with pytest.raises(InputError) as caught:
+                        call(space, lam, mu, p, tilde=tilde, **kwargs)
+                    assert gated or str(caught.value) == message
+                seen.add((arrow(space, lam, mu), tilde))
+    assert {(True, False), (False, False)} <= seen
+    assert len(tildes) == 1 or {(True, True), (False, True)} <= seen
+
+
+def test_a_choice_some_pair_takes_is_checked_against_the_pair_only_past_the_gate():
+    # chat = 2 lies in Q for 2,7 -> 1,3; 6,7 -> 1,2 has no arrow and is 0
+    assert compute_pieri(OG27, (6, 7), (1, 2), 3, chat=2).value.is_zero
+    assert compute_pieri(OG27, (6, 7), (1, 2), 3, chat=3).value.is_zero
+    with pytest.raises(InputError, match=r"^chat = 3 is not in Q = \[2, 4\]$"):
+        compute_pieri(OG27, (2, 7), (1, 3), 3, chat=3)
+    # (1, 2) is one column too many for 3,6 -> 1,5; 3,6 -> 4,5 has no arrow
+    assert compute_pieri(SG26, (3, 6), (4, 5), 3, pivot=(1, 2)).value.is_zero
+    with pytest.raises(InputError, match="^pivot needs exactly 1 columns, got 2$"):
+        compute_pieri(SG26, (3, 6), (1, 5), 3, pivot=(1, 2))
+
+
 def test_thread_count_does_not_change_the_bytes(monkeypatch):
     # the library takes no thread count and never reads EQPIERI_THREADS
     result = pieri_coefficient(SG38, (2, 4, 8), (1, 3, 5), 5)
@@ -344,6 +395,9 @@ def test_expansion_is_every_nonzero_coefficient_in_symbol_order():
             for p in range(pieri_bound(space) + 1):
                 legal = space.lie_type == "D" and p == space.n - space.m >= 1
                 for tilde in (False, True) if legal else (False,):
+                    # the expansion's private path against the checked one of
+                    # pieri_coefficient (compute_pieri's value): each mu present,
+                    # with that value, exactly when the value is nonzero
                     expected = [
                         (mu, value)
                         for mu in symbols
@@ -383,13 +437,13 @@ def test_expansion_evaluates_only_the_gate_survivors(monkeypatch):
         ],
     }
     evaluated = []
-    original = eqpieri.pieri.pieri_coefficient
+    original = eqpieri.pieri._diagram_value
 
-    def counting(space, lam, mu, p, **kwargs):
-        evaluated.append((space, lam, mu, p))
-        return original(space, lam, mu, p, **kwargs)
+    def counting(space, d, tilde):
+        evaluated.append((space, d.lam, d.mu, d.p))
+        return original(space, d, tilde)
 
-    monkeypatch.setattr(eqpieri.pieri, "pieri_coefficient", counting)
+    monkeypatch.setattr(eqpieri.pieri, "_diagram_value", counting)
     for space, pairs in ops.items():
         symbols = enumerate_symbols(space)
         evaluated.clear()
@@ -403,3 +457,60 @@ def test_expansion_evaluates_only_the_gate_survivors(monkeypatch):
             ]
         assert evaluated == survivors
         assert 5 * len(evaluated) < len(pairs) * len(symbols)
+
+
+def test_expansion_validates_its_symbol_once(monkeypatch):
+    # lambda is checked once at the boundary; no survivor is checked again.
+    # In type D at p >= n - m the orthogonal branch checks nu twice more
+    # (_build's invariant and type_d_restriction's own check), so the type D
+    # ops here stay below n - m.
+    calls = []
+    original = eqpieri.schubert.validate_symbol
+
+    def counting(space, lam):
+        calls.append(lam)
+        return original(space, lam)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("eqpieri")]:
+        if getattr(module, "validate_symbol", None) is original:
+            monkeypatch.setattr(module, "validate_symbol", counting)
+    ops = [
+        (Space("A", 3, 7), (3, 5, 7), 2), (Space("A", 3, 7), (5, 6, 7), 4),
+        (Space("C", 3, 5), (7, 8, 9), 1), (Space("C", 3, 5), (6, 9, 10), 6),
+        (Space("B", 3, 5), (5, 8, 10), 5), (Space("B", 3, 5), (8, 10, 11), 7),
+        (Space("D", 2, 5), (7, 9), 1), (Space("D", 2, 5), (8, 10), 2),
+        (Space("B", 2, 3), (6, 7), 0),
+    ]
+    for space, lam, p in ops:
+        calls.clear()
+        assert pieri_expansion(space, lam, p), (space, lam, p)
+        assert calls == [lam], (space, lam, p)
+
+
+# the expansion checks lambda and p itself, with these exact messages
+EXPANSION_INPUT_ERRORS = [
+    (SG38, (2, 4), 1, False, "symbol [2, 4] has 2 parts, expected m = 3"),
+    (SG38, (0, 4, 8), 1, False, "lambda_1 = 0 outside [1, 8]"),
+    (SG38, (4, 2, 8), 1, False, "lambda_1 = 4 not below lambda_2 = 2"),
+    (SG38, (2, 4, 5), 1, False, "lambda_2+lambda_3 = 9 violates isotropy"),
+    (SG38, (2, 4, "x"), 1, False, "symbol entry = 'x' is not an integer"),
+    (OG27, (3, 5), 1, False, "lambda_1+lambda_2 = 8 violates isotropy"),
+    (OG28, (4, 5), 2, True, "lambda_1+lambda_2 = 9 violates isotropy"),
+    (Space("A", 2, 5), (1, 2, 3), 1, False, "symbol [1, 2, 3] has 3 parts, expected m = 2"),
+    (SG38, (2, 4, 8), 9, False, "p = 9 is outside the special-class range [0, 5]"),
+    (SG38, (2, 4, 8), -1, False, "p = -1 is outside the special-class range [0, 5]"),
+    (Space("A", 2, 5), (3, 5), 4, False, "p = 4 is outside the special-class range [0, 3]"),
+    (SG38, (2, 4, 8), 2.5, False, "p = 2.5 is not an integer"),
+    (SG38, (2, 4, 8), "1", False, "p = '1' is not an integer"),
+    (SG38, (2, 4, 8), 1, True,
+     "the second special class exists only on even orthogonal spaces at p = n - m"),
+    (OG28, (4, 8), 3, True,
+     "the second special class exists only on even orthogonal spaces at p = n - m"),
+]
+
+
+@pytest.mark.parametrize("space, lam, p, tilde, message", EXPANSION_INPUT_ERRORS)
+def test_expansion_refuses_bad_input_with_the_same_message(space, lam, p, tilde, message):
+    with pytest.raises(InputError) as caught:
+        pieri_expansion(space, lam, p, tilde=tilde)
+    assert str(caught.value) == message
