@@ -14,7 +14,7 @@ from .diagram import _arrow
 from .gkm import GkmEngine
 from .pieri import compute_pieri
 from .polyring import Polynomial
-from .schubert import Space, Symbol, own_special_class, pieri_bound
+from .schubert import Space, Symbol, enumerate_symbols, own_special_class, pieri_bound
 
 # the spaces of ``eqpieri verify`` and of the acceptance sweep
 SMALL_SUITE = (Space("A", 2, 5), Space("C", 2, 3), Space("B", 2, 3), Space("D", 2, 4))
@@ -38,10 +38,11 @@ def audit(space: Space, tilde: bool = False) -> Iterator[AuditRecord]:
     engine = GkmEngine(space)
     zero = Polynomial.zero(space.torus_rank)
     degrees = (space.n - space.m,) if tilde else range(1, pieri_bound(space) + 1)
-    for lam in engine.symbols:
+    symbols = enumerate_symbols(space)
+    for lam in symbols:
         for p in degrees:
             expansion = engine.product_expansion(lam, own_special_class(space, lam, p, tilde))
-            for mu in engine.symbols:
+            for mu in symbols:
                 yield AuditRecord(
                     lam, mu, p, _arrow(space, lam, mu),
                     compute_pieri(space, lam, mu, p, tilde=tilde).value,

@@ -336,7 +336,8 @@ def _build(
         branch = "restriction"
     elif t == "B" and p > n - m and not Q:
         branch = "halving"
-    elif t == "D" and p >= n - m and not Q:
+    elif t == "D" and p >= max(n - m, 1) and not Q:
+        # at p = 0 on OG(n,2n) the empty sum below is the coefficient 1
         branch = "orthogonal_restriction"
     else:
         branch = "sum"

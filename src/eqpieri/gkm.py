@@ -35,9 +35,12 @@ restrictions are built only at the candidate fixed points: those below
 both factors, of codimension at most the sum of theirs.  Asked for one
 coefficient c^mu, as the oracle command is, the expansion keeps only the
 candidates above mu, the interval that c^mu depends on; the audit asks
-for every coefficient and keeps them all.  Every division there must come
-out polynomial, or a ConsistencyError is raised; the residual at the
-other fixed points is not checked by the expansion.
+for every coefficient and keeps them all.  The candidates are walked in
+the box mu_j <= s_j <= min(lam_j, sigma_j) of isotropic symbols, so no
+symbol of the space outside it is listed, and each eliminated class
+updates only the points where it restricts to nonzero.  Every division
+there must come out polynomial, or a ConsistencyError is raised; the
+residual at the other fixed points is not checked by the expansion.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from .errors import ConsistencyError, InputError, as_int
-from .polyring import Polynomial
+from .polyring import Polynomial, _unit
 from .schubert import (
     Space,
     Symbol,
@@ -250,10 +253,31 @@ def _word_with_prefixes(v: Element, lie: str):
 def _root(prefix: Element, i: int, lie: str, w0: Element) -> Polynomial:
     """The inversion root prefix(alpha_i) of a reduced word, mapped by
     t_i -> w0(t_i)."""
-    vec = act_on_vector(prefix, alpha_vector(lie, len(prefix), i))
+    rank = len(prefix)
+    vec = act_on_vector(prefix, alpha_vector(lie, rank, i))
     if not vector_positive(vec):
         raise ConsistencyError("prefix root of a reduced word must be positive")
-    return Polynomial.linear(act_on_vector(w0, vec))
+    image = act_on_vector(w0, vec)
+    return Polynomial._of(rank, {_unit(j, rank): c for j, c in enumerate(image) if c})
+
+
+def _parabolic_blocks(lie: str, rank: int, p_inds):
+    """For each simple i, the slice of x^-1 that x^-1(alpha_i) is read from,
+    and the letters there at which it is a simple root of P: (j, j+1) or
+    (-j-1, -j) for e_j - e_(j+1), and in type D (n-1, -n) or (n, 1-n) for
+    e_(n-1) + e_n.  The last root maps to a multiple of e_a in types B and
+    C, blocked at a = n, and to e_a + e_b, the last two letters, in type D."""
+    low = [j for j in p_inds if j < rank]
+    inner = {(j, j + 1) for j in low} | {(-j - 1, -j) for j in low}
+    last = (slice(rank - 1, rank), {(rank,)} if rank in p_inds else set())
+    if lie == "D":
+        outer = {(j, -j - 1) for j in low} | {(-j - 1, j) for j in low}
+        if rank in p_inds:
+            inner |= {(rank - 1, -rank), (rank, 1 - rank)}
+            outer |= {(rank - 1, rank), (rank, rank - 1)}
+        last = (slice(rank - 2, rank), outer)
+    return {i: (slice(i - 1, i + 1), inner) if i < rank else last
+            for i in simple_indices(lie, rank)}
 
 
 def _subword_sums(v: Element, lie: str, p_inds) -> Dict[Element, Polynomial]:
@@ -263,25 +287,29 @@ def _subword_sums(v: Element, lie: str, p_inds) -> Dict[Element, Polynomial]:
     the letters chosen so far.  s_i extends x only when s_i x is longer
     (x^-1(alpha_i) > 0) and still in W^P; the inversion roots depend only
     on the word of v, so the sums at W^P are those of the full subword sum.
-    Each x is carried with its inverse, on which s_i x is one position edit.
+    Each x is carried as its inverse, on which s_i x is one position edit,
+    and inverted once at the end.  Membership in W^P is Deodhar's lemma
+    (Invent. Math. 39, 1977): for x in W^P with s_i x longer, s_i x leaves
+    W^P exactly when x^-1(alpha_i) is a simple root of P, which at most two
+    letters of x^-1 show (_parabolic_blocks).  A letter's root is built
+    when a state first extends by it.
     """
-    one, w0 = identity_element(len(v)), longest_element(lie, len(v))
-    zero = Polynomial.zero(len(v))
-    sums = {one: Polynomial.one(len(v))}
-    inverses = {one: one}
+    rank = len(v)
+    one, w0 = identity_element(rank), longest_element(lie, rank)
+    zero = Polynomial.zero(rank)
+    blocks = _parabolic_blocks(lie, rank, p_inds)
+    sums = {one: Polynomial.one(rank)}
     for i, prefix in reversed(_word_with_prefixes(v, lie)):
-        beta = _root(prefix, i, lie, w0)
-        for x, val in list(sums.items()):  # each letter is used at most once
-            x_inv = inverses[x]
-            if not right_ascent(x_inv, i, lie):
+        where, blocked = blocks[i]
+        beta = None
+        for x_inv, val in list(sums.items()):  # each letter is used at most once
+            if not right_ascent(x_inv, i, lie) or x_inv[where] in blocked:
                 continue
+            if beta is None:
+                beta = _root(prefix, i, lie, w0)
             y_inv = apply_simple(x_inv, i, lie)  # (s_i x)^-1 = x^-1 s_i
-            y = _inverse(y_inv)
-            if not all(right_ascent(y, j, lie) for j in p_inds):
-                continue
-            inverses[y] = y_inv
-            sums[y] = sums.get(y, zero)._add_product(val, beta)
-    return sums
+            sums[y_inv] = sums.get(y_inv, zero)._add_product(val, beta)
+    return {_inverse(x_inv): val for x_inv, val in sums.items()}
 
 
 def _coset(space: Space, sym: Symbol) -> Tuple[Tuple[int, ...], Element]:
@@ -357,7 +385,6 @@ class GkmEngine:
         self.space = space
         self.lie = space.lie_type
         self.nvars = space.torus_rank
-        self.symbols = enumerate_symbols(space)
         self._cosets: Dict[Symbol, Tuple[Tuple[int, ...], Element]] = {}
         self._columns: Dict[Symbol, Dict[Element, Polynomial]] = {}
 
@@ -386,7 +413,7 @@ class GkmEngine:
 
     def restriction_vector(self, mu) -> Dict[Symbol, Polynomial]:
         mu = validate_symbol(self.space, mu)
-        return {nu: self._restriction(mu, nu) for nu in self.symbols}
+        return {nu: self._restriction(mu, nu) for nu in enumerate_symbols(self.space)}
 
     def product_expansion(self, lam, sigma, mu=None) -> Dict[Symbol, Polynomial]:
         """[X_lam] * [X_sigma] = sum of c^nu [X_nu]: all coefficients.
@@ -400,20 +427,29 @@ class GkmEngine:
         sigma = validate_symbol(space, sigma)
         if mu is not None:
             mu = validate_symbol(space, mu)
+        # mu_j <= s_j <= min(lam_j, sigma_j) (1 <= s_j without mu), each
+        # letter skipped where it breaks isotropy
+        N, isotropic = space.ambient, space.lie_type != "A"
+        box = [()]
+        for j, high in enumerate(map(min, lam, sigma)):
+            low = mu[j] if mu is not None else 1
+            box = [
+                s + (c,)
+                for s in box
+                for c in range(max(low, s[-1] + 1 if s else 1), high + 1)
+                if not isotropic or (2 * c != N + 1 and N + 1 - c not in s)
+            ]
         bound = _codim(space, lam) + _codim(space, sigma)
-        candidates = [
-            s
-            for s in self.symbols
-            if _codim(space, s) <= bound
-            and _preceq(space, s, lam)
-            and _preceq(space, s, sigma)
-        ]
-        if mu is not None:
-            candidates = [s for s in candidates if _preceq(space, mu, s)]
+        graded = sorted(
+            (d, s) for s in box
+            if (d := _codim(space, s)) <= bound and _preceq(space, s, lam)
+            and _preceq(space, s, sigma) and (mu is None or _preceq(space, mu, s))
+        )
+        candidates = [s for _, s in graded]
         restriction = self._restriction
         h = {s: restriction(lam, s) * restriction(sigma, s) for s in candidates}
         out: Dict[Symbol, Polynomial] = {}
-        for s in candidates:  # ascending (codim, lex)
+        for k, s in enumerate(candidates):  # ascending (codim, lex)
             val = h[s]
             if val.is_zero:
                 out[s] = val
@@ -424,6 +460,8 @@ class GkmEngine:
             )
             out[s] = c
             minus_c = -c
-            for s2 in candidates:
-                h[s2] = h[s2]._add_product(minus_c, restriction(s, s2))
+            for s2 in candidates[k + 1:]:  # h before s is read no more
+                r = restriction(s, s2)
+                if not r.is_zero:
+                    h[s2] = h[s2]._add_product(minus_c, r)
         return out

@@ -216,8 +216,8 @@ def pieri_expansion(
     special_class(space, p, tilde)
     if p == 0:
         # the window holds mu = lambda alone, with coefficient 1, as in
-        # compute_pieri; on OG(n, 2n) the diagram of (lambda, lambda) takes the
-        # orthogonal branch, which reads 0 on one of the two families
+        # compute_pieri and in the diagram of (lambda, lambda), which takes
+        # the sum branch over an empty sum set
         return {lam: Polynomial.one(space.torus_rank)}
     gate_lam = swap_wall_letters(space, lam) if tilde else lam
     low = _codim(space, lam)

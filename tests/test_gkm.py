@@ -5,7 +5,8 @@ import itertools
 
 import pytest
 
-from eqpieri import gkm
+from eqpieri import gkm, schubert
+from eqpieri.cli import main
 from eqpieri.errors import ConsistencyError, InputError
 from eqpieri.gkm import (
     GkmEngine,
@@ -389,13 +390,15 @@ def _special_classes(space):
 
 @pytest.mark.parametrize(
     "space",
-    (GR25, Space("C", 1, 3), SG26, Space("C", 3, 3), Space("B", 1, 3), OG27,
-     OG18, OG28, OG38, Space("D", 3, 3)),
+    (GR25, Space("A", 3, 6), Space("C", 1, 3), SG26, Space("C", 3, 3), Space("B", 1, 3),
+     OG27, Space("B", 3, 3), OG18, OG26, OG28, OG38, Space("D", 3, 3), Space("D", 4, 4)),
     ids=lambda space: space.name(),
 )
 def test_expansion_above_mu_is_the_full_expansion_on_the_interval(space, monkeypatch):
     # c^mu depends only on the c^s with mu <= s: asked for mu, the expansion
     # builds columns at exactly those candidates and returns their values.
+    # The full expansion's candidates, order included, are pinned to a scan
+    # of every symbol, which the engine's box walk replaces.
     # The columns are dropped before each call; the DP behind them is cached
     # across calls, as its values are pinned by the Billey-sum test.
     monkeypatch.setattr(gkm, "_subword_sums", functools.lru_cache(None)(gkm._subword_sums))
@@ -418,6 +421,55 @@ def test_expansion_above_mu_is_the_full_expansion_on_the_interval(space, monkeyp
                 part = engine.product_expansion(lam, sigma, mu)
                 assert set(engine._columns) == set(interval), (lam, sigma, mu)
                 assert part == {s: full[s] for s in interval}
+
+
+def test_expansion_and_oracle_enumerate_no_symbols(monkeypatch, capsys):
+    # the candidates come from the box mu <= s <= min(lam, sigma), never
+    # from a list of the space's symbols
+    cases = []
+    for space in (GR25, SG26, OG38, Space("D", 3, 3)):
+        engine = GkmEngine(space)
+        for lam in enumerate_symbols(space):
+            sigma = own_special_class(space, lam, 1, False)
+            for mu in enumerate_symbols(space)[::3]:
+                cases.append((space, lam, sigma, mu, engine.product_expansion(lam, sigma, mu)))
+    argv = ["oracle", "--type", "D", "--n", "4", "--m", "3",
+            "--lambda", "4,6,8", "--mu", "2,6,8", "--p", "2"]
+    assert main(argv) == 0
+    expected_stdout = capsys.readouterr().out
+
+    def refuse(*args):
+        raise AssertionError("the oracle enumerated the symbols of the space")
+
+    monkeypatch.setattr(gkm, "enumerate_symbols", refuse)
+    monkeypatch.setattr(schubert, "_graded_symbols", refuse)
+    for space, lam, sigma, mu, expected in cases:
+        assert GkmEngine(space).product_expansion(lam, sigma, mu) == expected
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected_stdout != "0\n"
+
+
+def test_elimination_multiplies_no_zero_factor(monkeypatch):
+    # h is updated only where the eliminated class restricts to nonzero, and
+    # the DP multiplies only the sums it carries; one SG(2,6) pass once made
+    # 25 products with a zero factor
+    calls, zero_factor = [], []
+    add_product = Polynomial._add_product
+
+    def counted(acc, a, b):
+        calls.append(None)
+        if a.is_zero or b.is_zero:
+            zero_factor.append((a, b))
+        return add_product(acc, a, b)
+
+    monkeypatch.setattr(Polynomial, "_add_product", counted)
+    for space in (GR25, Space("A", 3, 6), SG26, Space("C", 3, 3), OG27, Space("B", 3, 3),
+                  OG26, OG28, OG38, Space("D", 4, 4)):
+        engine = GkmEngine(space)
+        for lam in enumerate_symbols(space):
+            for sigma in _special_classes(space):
+                engine.product_expansion(lam, sigma)
+    assert zero_factor == [] and len(calls) > 5000
 
 
 def test_structure_constants_are_symmetric_in_the_factors():
@@ -467,6 +519,45 @@ def test_reduced_words_multiply_back():
         for i in reduced_word(w0, lie):
             w = apply_simple(w, i, lie)
         assert w == w0
+
+
+def _weyl_group(lie, rank):
+    """Every element of W(lie_rank) as a signed permutation."""
+    signs = [(1,) * rank] if lie == "A" else list(itertools.product((1, -1), repeat=rank))
+    for perm in itertools.permutations(range(1, rank + 1)):
+        for sign in signs:
+            if lie != "D" or sign.count(-1) % 2 == 0:
+                yield tuple(s * x for s, x in zip(sign, perm))
+
+
+@pytest.mark.parametrize(
+    "space",
+    # type A; m = 1, n-1 and n in types B, C and D; both components of OG(n,2n)
+    (GR25, Space("A", 3, 6), Space("B", 1, 3), OG27, Space("B", 3, 3), Space("C", 1, 3),
+     SG26, Space("C", 3, 3), OG18, OG38, Space("D", 4, 4), OG26, Space("D", 3, 3)),
+    ids=lambda space: space.name(),
+)
+def test_parabolic_blocks_are_the_definition_of_w_p(space):
+    # Deodhar's lemma: for x in W^P and s_i x longer than x, s_i x leaves
+    # W^P exactly when the letters of x^-1 read for alpha_i are blocked
+    lie, rank = space.lie_type, space.torus_rank
+    one = identity_element(rank)
+    outcomes = []
+    for p_inds in {parabolic_indices(space, s) for s in enumerate_symbols(space)}:
+        blocks = gkm._parabolic_blocks(lie, rank, p_inds)
+        for x in _weyl_group(lie, rank):
+            if minimal_representative(x, p_inds, lie) != x:
+                continue
+            x_inv = gkm._inverse(x)
+            for i in simple_indices(lie, rank):
+                if not right_ascent(x_inv, i, lie):
+                    continue
+                y = compose(apply_simple(one, i, lie), x)  # s_i x
+                where, blocked = blocks[i]
+                leaves = minimal_representative(y, p_inds, lie) != y
+                assert (x_inv[where] in blocked) == leaves, (p_inds, x, i)
+                outcomes.append(leaves)
+    assert set(outcomes) == {False, True}
 
 
 @pytest.mark.parametrize("lie", "ABCD")

@@ -97,7 +97,7 @@ def digests():
 
 
 RECORDED = {
-    "diagram": (7984, "a3487986d44150611d8bc331b40547a0ef7d056fa1717925d2ba70950333c41b"),
+    "diagram": (7984, "1e0dd43fff04f01e53c228557e163966999731b1fe595166a154437f374c1654"),
     "enumerate": (12, "4c0ea409249c47db2fa1b8463fffde842688f7a57c2f95ee68b8432e40ebfe47"),
     "expand": (674, "bfe18856aaec427c4ff998b15c9b42f3fbc628bed5667e34b17859967af9fd29"),
     "oracle": (2275, "1864ac1e0d5e793435792fdb2701b578148606388c0127dbb9cd5425f8432a17"),

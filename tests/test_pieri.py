@@ -408,8 +408,8 @@ def test_expansion_is_every_nonzero_coefficient_in_symbol_order():
 
 
 def test_expansion_by_the_fundamental_class_is_lambda_itself():
-    # pieri_expansion walks up from codim lambda with no p = 0 case: at codim
-    # lambda only mu = lambda passes lambda -> mu
+    # pieri_expansion answers p = 0 before its codim walk, as compute_pieri
+    # does; at codim lambda only mu = lambda would pass lambda -> mu
     for lie in "ABCD":
         for n in range(2 if lie == "D" else 1, 6 if lie == "A" else 5):
             for m in range(n + 1):
@@ -417,6 +417,18 @@ def test_expansion_by_the_fundamental_class_is_lambda_itself():
                 one = Polynomial.one(space.torus_rank)
                 for lam in enumerate_symbols(space):
                     assert pieri_expansion(space, lam, 0) == {lam: one}, (space, lam)
+
+
+def test_the_diagram_of_a_maximal_symbol_with_itself_at_degree_zero_is_one():
+    # on both components of OG(n,2n), p = 0 takes the sum branch over an
+    # empty sum set; the orthogonal branch read 0 on half of the symbols
+    for n in range(2, 5):
+        space = Space("D", n, n)
+        one = Polynomial.one(n)
+        for lam in enumerate_symbols(space):
+            d = build(space, lam, lam, 0)
+            assert d.branch == "sum" and d.sum_set == (), lam
+            assert eqpieri.pieri._diagram_value(space, d, False) == one, lam
 
 
 def test_expansion_evaluates_only_the_gate_survivors(monkeypatch):
