@@ -232,40 +232,38 @@ class PieriDiagram:
         return "\n".join(lines)
 
 
-def _check_choices(space: Space, p: int, chat, pivot) -> None:
-    """Refuse a dropped column outside types B and D or at a degree that drops
-    none (B: p <= n - m, D: p < n - m), and a pivot outside type C."""
+def _check_choices(
+    space: Space, p: int, chat, pivot
+) -> Tuple[Optional[int], Optional[Tuple[int, ...]]]:
+    """Refuse, for every pair alike, a choice that no pair of the space takes
+    at degree p, and return chat and pivot as integers, pivot sorted.
+
+    A dropped column exists only in types B and D, at a degree that drops
+    one (B: p > n - m, D: p >= n - m), and lies in [2, n+1] (B) or [2, n]
+    (D), where Q lies; a pivot exists only in type C, and its columns are
+    distinct and lie in [1, n].  _build checks what is left against the
+    pair's own Q and nu.
+    """
     t, n, m = space.lie_type, space.n, space.m
     if chat is not None and t not in ("B", "D"):
         raise InputError("a dropped column only exists in the orthogonal types")
     if pivot is not None and t != "C":
         raise InputError("pivot replacement only applies to symplectic spaces")
-    if chat is not None and (p <= n - m if t == "B" else p < n - m):
-        raise InputError("no column is dropped from Q for these inputs")
-
-
-def _check_columns(space: Space, chat, pivot) -> None:
-    """Refuse the chat and pivot columns that no pair can take, for a pair
-    that build never sees: chat outside [2, n+1] (B) or [2, n] (D), where
-    Q lies, and pivot columns that repeat or leave [1, n].  build refuses
-    them too, against the pair's own Q and nu."""
-    n = space.n
     if chat is not None:
-        top = n + 1 if space.lie_type == "B" else n
-        if not 2 <= as_int(chat, "chat") <= top:
+        if p <= n - m if t == "B" else p < n - m:
+            raise InputError("no column is dropped from Q for these inputs")
+        top = n + 1 if t == "B" else n
+        chat = as_int(chat, "chat")
+        if not 2 <= chat <= top:
             raise InputError(f"chat = {chat} outside [2, {top}]")
     if pivot is not None:
-        pivot = _pivot_columns(pivot)
+        pivot = tuple(sorted(as_int(c, "pivot column") for c in pivot))
+        if len(set(pivot)) != len(pivot):
+            raise InputError("pivot columns must be distinct")
         for c in pivot:
             if not 1 <= c <= n:
                 raise InputError(f"pivot column {c} outside [1, {n}]")
-
-
-def _pivot_columns(pivot) -> Tuple[int, ...]:
-    pivot = tuple(sorted(as_int(c, "pivot column") for c in pivot))
-    if len(set(pivot)) != len(pivot):
-        raise InputError("pivot columns must be distinct")
-    return pivot
+    return chat, pivot
 
 
 def build(
@@ -294,7 +292,7 @@ def build(
         raise InputError(
             f"no arrow from {list(lam)} to {list(mu)}: the coefficient vanishes"
         )
-    _check_choices(space, p, chat, pivot)
+    chat, pivot = _check_choices(space, p, chat, pivot)
     return _build(space, lam, mu, p, chat, pivot, has_arrow)
 
 
@@ -308,8 +306,10 @@ def _build(
     has_arrow: bool = True,
 ) -> PieriDiagram:
     """build's core, on checked symbols with mu <= lambda (the arrow outside
-    type A) and a checked p; chat and pivot have passed _check_choices, and
-    are checked here against the pair's Q and nu."""
+    type A), a checked p, and chat and pivot as _check_choices returns them.
+    Only the checks against the pair's own Q and nu are left here: chat in Q
+    (or no chat when none is dropped), and as many pivot columns as Q has,
+    each with both c and N+1-c in nu."""
     t, m, n, N = space.lie_type, space.m, space.n, space.ambient
     zeros = zero_columns(space, lam, mu)
     L = l_columns(space, lam, mu, zeros)
@@ -325,7 +325,7 @@ def _build(
 
     dropped = None
     if drop:
-        dropped = min(Q) if chat is None else as_int(chat, "chat")
+        dropped = min(Q) if chat is None else chat
         if dropped not in Q:
             raise InputError(f"chat = {dropped} is not in Q = {list(Q)}")
     elif chat is not None:
@@ -344,12 +344,9 @@ def _build(
 
     sum_set = Qprime if branch == "sum" else ()
     if pivot is not None:
-        pivot = _pivot_columns(pivot)
         if len(pivot) != len(Q):
             raise InputError(f"pivot needs exactly {len(Q)} columns, got {len(pivot)}")
         for c in pivot:
-            if not 1 <= c <= n:
-                raise InputError(f"pivot column {c} outside [1, {n}]")
             if c not in nu or N + 1 - c not in nu:
                 raise InputError(
                     f"pivot column {c} needs both {c} and {N + 1 - c} in nu"

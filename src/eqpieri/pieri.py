@@ -33,11 +33,15 @@ the specialization (the identity in type A), and halves exactly on the
 halving branch.
 
 Input is checked once, at the public entry points.  compute_pieri and
-pieri_expansion validate their symbols and p and read the zero gate; each
-pair that passes is then evaluated by the private cores, which trust their
-input: diagram._build for the diagram, _diagram_value for its value, and
-restrict_a._restriction for each type A term.  compute_pieri also lists the
-terms as PieriTerm records, for provenance only.
+pieri_expansion validate their symbols and p and read the zero gate;
+compute_pieri refuses a chat or pivot that no pair takes before the gate,
+in diagram._check_choices, with one message for every pair.  Each pair that
+passes is then evaluated by the private cores, which trust their input:
+diagram._build for the diagram, _diagram_value for its value, and
+restrict_a._restriction for each type A term.  No degree takes a shortcut:
+at p = 0 the pair (lambda, lambda) passes the gate, and its diagram takes
+the sum branch over an empty sum set, with value 1.  compute_pieri also
+lists the terms as PieriTerm records, for provenance only.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .diagram import PieriDiagram, _arrow, _build, _check_choices, _check_columns, iter_subsets
+from .diagram import PieriDiagram, _arrow, _build, _check_choices, iter_subsets
 from .errors import ConsistencyError
 from .gkm import type_d_restriction
 from .polyring import Polynomial, PositivityCertificate, RootBasis, root_positivity_certificate
@@ -165,16 +169,14 @@ def compute_pieri(
     lam = validate_symbol(space, lam)
     mu = validate_symbol(space, mu)
     special_class(space, p, tilde)
-    _check_choices(space, p, chat, pivot)
-    nvars = space.torus_rank
+    chat, pivot = _check_choices(space, p, chat, pivot)
     gate_lam, gate_mu = (
         (swap_wall_letters(space, lam), swap_wall_letters(space, mu)) if tilde else (lam, mu)
     )
-    if p == 0 or not _arrow(space, gate_lam, gate_mu) or (
+    if not _arrow(space, gate_lam, gate_mu) or (
         _codim(space, gate_mu) > _codim(space, gate_lam) + p
     ):
-        _check_columns(space, chat, pivot)
-        value = Polynomial.one(nvars) if p == 0 and lam == mu else Polynomial.zero(nvars)
+        value = Polynomial.zero(space.torus_rank)
         return PieriComputation(space, lam, mu, p, tilde, None, [], value)
     d = _build(space, gate_lam, gate_mu, p, chat, pivot)
     terms = [
@@ -208,17 +210,13 @@ def pieri_expansion(
     codim lambda <= codim mu <= codim lambda + p, both read on the swapped
     letters with tilde.  The arrow implies the lower bound, and at
     codim lambda it holds only for mu = lambda.  The swap n <-> n+1 keeps
-    codim, so the walk covers one window of the graded symbols.  Each
+    codim, so the walk covers one window of the graded symbols; at p = 0
+    the window is codim lambda, where only lambda itself passes.  Each
     survivor goes straight to the cores that compute_pieri shares, _build
     and _diagram_value, with no second check of its symbols.
     """
     lam = validate_symbol(space, lam)
     special_class(space, p, tilde)
-    if p == 0:
-        # the window holds mu = lambda alone, with coefficient 1, as in
-        # compute_pieri and in the diagram of (lambda, lambda), which takes
-        # the sum branch over an empty sum set
-        return {lam: Polynomial.one(space.torus_rank)}
     gate_lam = swap_wall_letters(space, lam) if tilde else lam
     low = _codim(space, lam)
     graded = _graded_symbols(space)

@@ -26,10 +26,13 @@ subwords of length i ending at or before c,
                                                    c = i .. r+i-1,
 
 and the coefficient is S_p(p+r-1): p*r products of a polynomial with one
-linear factor.  restriction_coefficient checks its input; its core
-_restriction, which the Pieri rule calls on symbols it built, reads a and b
-off nu and runs these rows.  Every S_i(c) is a sum of products of the same
-factors t_j - t_i with i < j, so the value stays manifestly positive.  The
+linear factor.  restriction_coefficient checks its input and gives the
+value in the N variables themselves.  Its core _restriction, which the
+Pieri rule calls on symbols it built, reads a and b off nu and runs these
+rows on N images of the weights: the rule passes the folding
+specialization, which maps each linear factor before the factors are
+multiplied.  Every S_i(c) is a sum of products of the same factors
+t_j - t_i with i < j, so the value stays manifestly positive.  The
 subword sum comes from evaluating a partial-fraction identity, which the
 tests replay at random integer points with exact rational arithmetic.
 """
@@ -41,29 +44,23 @@ from .polyring import Polynomial
 from .schubert import Space, validate_symbol
 
 
-def restriction_coefficient(space: Space, nu, p: int, images=None) -> Polynomial:
-    """N^nu_{nu,p} on Gr(m, N) as a polynomial in N torus parameters.
-
-    a and b are read off nu, and row i holds S_i(c) for c = i..r+i-1.
-    With images, t_j is sent to images[j-1] in each linear factor before the
-    factors are multiplied, which is the same as substituting them into the
-    result; the value then lies in the images' ring.
-    """
+def restriction_coefficient(space: Space, nu, p: int) -> Polynomial:
+    """N^nu_{nu,p} on Gr(m, N) as a polynomial in N torus parameters."""
     if space.lie_type != "A":
         raise InputError("restriction coefficients live on type A spaces")
     nu = validate_symbol(space, nu)
     p = as_int(p, "p")
     N = space.n
-    if images is None:
-        images = [Polynomial.variable(j, N) for j in range(1, N + 1)]
-    elif len(images) != N:
-        raise InputError(f"need {N} images, got {len(images)}")
-    return _restriction(N, nu, p, images)
+    return _restriction(N, nu, p, [Polynomial.variable(j, N) for j in range(1, N + 1)])
 
 
 def _restriction(N: int, nu, p: int, images) -> Polynomial:
     """restriction_coefficient's core on Gr(len(nu), N), for a checked nu,
-    an integer p and N images."""
+    an integer p and N images: a and b are read off nu, and row i holds
+    S_i(c) for c = i..r+i-1.  t_j is sent to images[j-1] in each linear
+    factor before the factors are multiplied, which is the same as
+    substituting the images into the value; the value then lies in the
+    images' ring."""
     m, nvars = len(nu), images[0].nvars
     if p < 0 or p > N - m:
         return Polynomial.zero(nvars)

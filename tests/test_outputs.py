@@ -6,7 +6,11 @@ the maximal OG(3,6), the second special class of type D, ``--json`` and
 ``--certify``, and every degree p from -1 to the special-class bound + 1.
 A change meant to keep every output as it is keeps these digests; a change
 that alters an output on purpose says which in CHANGES.md and records the
-new digest here.  ``--chat`` and ``--pivot`` are left to tests/test_cli.py.
+new digest here.  One more digest, ``choices``, covers ``pieri`` (with and
+without ``--json``, and with ``--tilde`` where the second class exists) and
+``diagram`` under fixed ``--chat`` and ``--pivot`` values, two at each pair
+and degree of the isotropic spaces: the refusals, by message, and the
+values that a choice leaves as they are.
 """
 
 import contextlib
@@ -22,6 +26,8 @@ SPACES = (Space("A", 2, 4), Space("C", 2, 3), Space("B", 2, 3), Space("D", 2, 4)
           Space("D", 3, 3))
 BAD_SYMBOLS = ("", "0,1", "2,1", "1,2,3", "x")
 FLAG_CYCLE = ((), ("--json",), ("--certify",), ("--json", "--certify"))
+CHATS = tuple(("--chat", c) for c in ("1", "2", "3", "4", "5", "9"))
+PIVOTS = tuple(("--pivot", c) for c in ("1", "1,2", "2,3", "3", "7", "2,2", "", "1,2,3"))
 
 
 def _text(sym):
@@ -39,6 +45,12 @@ def _degrees(space):
 def _tilde(space, p):
     """--tilde where the second class exists, and one degree past it."""
     return space.lie_type == "D" and p in (space.n - space.m, space.n - space.m + 1)
+
+
+def _choices(space):
+    """The --chat or --pivot values of the space's type, then one of the
+    flag the type lacks."""
+    return PIVOTS + CHATS[1:2] if space.lie_type == "C" else CHATS + PIVOTS[:1]
 
 
 def corpus():
@@ -71,6 +83,16 @@ def corpus():
                         calls.append(("oracle", oracle + ["--json"] * ((i + p) % 2)))
                         if _tilde(space, p):
                             calls.append(("oracle", oracle + ["--tilde"]))
+                    if space.lie_type == "A" or j >= len(symbols):
+                        continue
+                    choices = _choices(space)
+                    for r in range(2):
+                        flag = choices[(i + 2 * j + p + r) % len(choices)]
+                        choice = [*pair, "--p", str(p), *flag]
+                        calls.append(("choices", ["pieri", *choice] + ["--json"] * r))
+                        if _tilde(space, p):
+                            calls.append(("choices", ["pieri", *choice, "--tilde"]))
+                        calls.append(("choices", ["diagram", *choice]))
     calls += [("enumerate", ["enumerate", "--type", "D", "--n", "1", "--m", "1"]),
               ("enumerate", ["enumerate", "--type", "C", "--n", "2", "--m", "3"])]
     return calls
@@ -97,6 +119,7 @@ def digests():
 
 
 RECORDED = {
+    "choices": (30336, "a27e8d3635bcc3ef26bd7cb6963b3195cfbfee56766594c9c357f5f32e2d2e17"),
     "diagram": (7984, "1e0dd43fff04f01e53c228557e163966999731b1fe595166a154437f374c1654"),
     "enumerate": (12, "4c0ea409249c47db2fa1b8463fffde842688f7a57c2f95ee68b8432e40ebfe47"),
     "expand": (674, "bfe18856aaec427c4ff998b15c9b42f3fbc628bed5667e34b17859967af9fd29"),
@@ -118,4 +141,4 @@ def test_sub_command_outputs_are_unchanged(measured, command):
 
 def test_the_corpus_covers_every_sub_command_but_verify(measured):
     assert set(measured) == set(RECORDED) == {
-        "pieri", "expand", "restrict", "oracle", "diagram", "enumerate"}
+        "pieri", "expand", "restrict", "oracle", "diagram", "enumerate", "choices"}

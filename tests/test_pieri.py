@@ -1,5 +1,6 @@
 """Structure coefficients: worked values, invariants, and branch behavior."""
 
+import re
 import sys
 from itertools import combinations
 
@@ -302,22 +303,25 @@ PAIR_FREE_FAULTS = [
 
 @pytest.mark.parametrize("space, p, kwargs, message", PAIR_FREE_FAULTS)
 def test_a_choice_no_pair_takes_is_refused_for_every_pair(space, p, kwargs, message):
-    # whether or not lambda -> mu, and with the second special class where it
-    # exists; a pair past the zero gate keeps the message build gives it
-    # against its own Q and nu
+    # whether or not lambda -> mu, past the zero gate or not, and with the
+    # second special class where it exists: one message for every pair
+    def refused():
+        return pytest.raises(InputError, match=f"^{re.escape(message)}$")
+
     symbols = enumerate_symbols(space)
     tildes = (False, True) if space.lie_type == "D" and p == space.n - space.m else (False,)
     seen = set()
     for lam in symbols:
         for mu in symbols:
+            if arrow(space, lam, mu):
+                with refused():
+                    build(space, lam, mu, p, **kwargs)
             for tilde in tildes:
-                gate = [swap_wall_letters(space, s) for s in (lam, mu)] if tilde else [lam, mu]
-                gated = p > 0 and arrow(space, *gate) and codim(space, mu) <= codim(space, lam) + p
                 for call in (compute_pieri, pieri_coefficient):
-                    with pytest.raises(InputError) as caught:
+                    with refused():
                         call(space, lam, mu, p, tilde=tilde, **kwargs)
-                    assert gated or str(caught.value) == message
-                seen.add((arrow(space, lam, mu), tilde))
+                gate = [swap_wall_letters(space, s) for s in (lam, mu)] if tilde else [lam, mu]
+                seen.add((arrow(space, *gate) and codim(space, mu) <= codim(space, lam) + p, tilde))
     assert {(True, False), (False, False)} <= seen
     assert len(tildes) == 1 or {(True, True), (False, True)} <= seen
 
@@ -408,8 +412,8 @@ def test_expansion_is_every_nonzero_coefficient_in_symbol_order():
 
 
 def test_expansion_by_the_fundamental_class_is_lambda_itself():
-    # pieri_expansion answers p = 0 before its codim walk, as compute_pieri
-    # does; at codim lambda only mu = lambda would pass lambda -> mu
+    # at p = 0 the codim walk of pieri_expansion holds only codim lambda,
+    # where only mu = lambda passes lambda -> mu; its diagram gives 1
     for lie in "ABCD":
         for n in range(2 if lie == "D" else 1, 6 if lie == "A" else 5):
             for m in range(n + 1):
@@ -429,6 +433,33 @@ def test_the_diagram_of_a_maximal_symbol_with_itself_at_degree_zero_is_one():
             d = build(space, lam, lam, 0)
             assert d.branch == "sum" and d.sum_set == (), lam
             assert eqpieri.pieri._diagram_value(space, d, False) == one, lam
+
+
+CHOICES = [{"chat": c} for c in (1, 2, 3, 4, 5, 9)] + [
+    {"pivot": cols} for cols in ((1,), (1, 2), (2, 3), (3,), (7,), (2, 2), (), (1, 2, 3))
+]
+
+
+def test_a_symbol_with_itself_at_degree_zero_goes_through_its_diagram():
+    # compute_pieri has no fork for p = 0: (lambda, lambda) passes the zero
+    # gate, and its one type A term is N^nu_{nu,0} = 1; a chat or pivot is
+    # refused, or taken, as build refuses or takes it
+    for space in EVERY_M:
+        one = Polynomial.one(space.torus_rank)
+        for lam in enumerate_symbols(space):
+            result = compute_pieri(space, lam, lam, 0)
+            assert result.diagram is not None and result.value == one, (space, lam)
+            assert [term.unspecialized for term in result.terms] == [
+                Polynomial.one(space.ambient)], (space, lam)
+            for kwargs in CHOICES:
+                try:
+                    d = build(space, lam, lam, 0, **kwargs)
+                except InputError as exc:
+                    with pytest.raises(InputError, match=f"^{re.escape(str(exc))}$"):
+                        compute_pieri(space, lam, lam, 0, **kwargs)
+                else:
+                    result = compute_pieri(space, lam, lam, 0, **kwargs)
+                    assert result.diagram == d and result.value == one, (space, lam, kwargs)
 
 
 def test_expansion_evaluates_only_the_gate_survivors(monkeypatch):
